@@ -98,7 +98,14 @@ func (d *AltDeq[T]) DequeueOne(threadID int) (item T, ok bool, prReq *Node[T]) {
 			continue
 		}
 		if lhead == d.tail.Load() {
-			myReq.deqTid.Store(IdxNone) // roll the request back
+			// Roll the request back to the parked node's claimed index,
+			// never to IdxNone: the node was in the list, and a stale
+			// helper still holding it as lnext would CasDeqTid it from
+			// IdxNone to an open request — possibly its own, whose
+			// casDeqAndHead then publishes this already-consumed node
+			// unconditionally (a duplicate delivery that also strands
+			// the helper's real item).
+			myReq.deqTid.Store(int32(threadID))
 			d.giveUp(myReq, threadID)
 			if d.dequeuers[threadID].P.Load() != myReq {
 				break // assigned despite the rollback: take the item
@@ -209,11 +216,10 @@ func (d *AltDeq[T]) casDeqAndHead(lhead, lnext *Node[T], threadID int) {
 	// ldeqTid < 0: lnext's assignment round already completed — it was
 	// published to its owner's dequeuers entry, the head advanced past
 	// lhead, and the owner has since reused the node as its parked
-	// request marker (IdxOpen on reopen, back to IdxNone on an
-	// empty-queue rollback). A helper holding the stale lhead/lnext pair
-	// can still read that sentinel here, so it must not index dequeuers
-	// with it; the CAS below then fails harmlessly against the advanced
-	// head. next pointers are write-once while a node is in the list, so
+	// request marker (IdxOpen while the request is open). A helper
+	// holding the stale lhead/lnext pair can still read that sentinel
+	// here, so it must not index dequeuers with it; the CAS below then
+	// fails harmlessly against the advanced head. next pointers are write-once while a node is in the list, so
 	// when lhead *is* still the head, lnext is still its successor and
 	// the advance is correct.
 	d.head.CompareAndSwap(lhead, lnext)

@@ -58,3 +58,42 @@ func TestAltDeqCasDeqAndHeadToleratesReusedMarker(t *testing.T) {
 		}
 	}
 }
+
+// TestAltDeqRollbackKeepsParkedNodeClaimed: an empty-queue rollback must
+// leave the parked node — a node that was in the list and was consumed —
+// with a claimed index, never IdxNone. A helper still holding that node
+// as a stale lnext would otherwise claim it for its own open request and
+// casDeqAndHead would publish it unconditionally: the consumed item is
+// delivered a second time and the helper's real item is stranded.
+func TestAltDeqRollbackKeepsParkedNodeClaimed(t *testing.T) {
+	d, enq, sentinel := newAltDeqForTest(2)
+	d.rt.EnsureActive(0)
+	d.rt.EnsureActive(1)
+	n := new(Node[int])
+	n.Reset(7, 0)
+	enq.Announce(0, n, false)
+	if v, ok, _ := d.DequeueOne(0); !ok || v != 7 {
+		t.Fatalf("first dequeue: got (%d,%v), want (7,true)", v, ok)
+	}
+	if d.dequeuers[0].P.Load() != n {
+		t.Fatal("the consumed node is not parked in its owner's entry")
+	}
+	if _, ok, _ := d.DequeueOne(0); ok {
+		t.Fatal("dequeue from an empty queue succeeded")
+	}
+	if got := n.deqTid.Load(); got == IdxNone || got == IdxOpen {
+		t.Fatalf("rolled-back parked node has deqTid %d, want a claimed index", got)
+	}
+
+	// Thread 1 opens a request and, as a stale helper, still holds
+	// lhead=sentinel, lnext=n from before the head advanced.
+	req1 := d.dequeuers[1].P.Load()
+	req1.deqTid.Store(IdxOpen)
+	if d.searchNext(1, sentinel, n) != 0 {
+		t.Fatalf("stale helper re-claimed the consumed node: deqTid %d", n.deqTid.Load())
+	}
+	d.casDeqAndHead(sentinel, n, 1)
+	if d.dequeuers[1].P.Load() != req1 {
+		t.Fatal("the consumed node was published to a second request")
+	}
+}

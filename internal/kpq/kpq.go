@@ -334,11 +334,15 @@ func (q *Queue[T]) Dequeue(threadID int) (item T, ok bool) {
 // that must be helped — including the caller's — is inside the scan.
 func (q *Queue[T]) help(threadID int, phase int64) {
 	q.rt.ForActive(0, q.rt.ActiveLimit(), func(i int) bool {
-		d := q.hpDesc.ProtectPtr(hpDesc, threadID, q.state[i].P.Load())
-		if q.state[i].P.Load() != d {
-			// Slot changed mid-read: its operation is being driven by its
-			// owner right now; helping it is not needed for our progress.
-			return true
+		// A failed validation must re-read, never skip the slot: helpers
+		// replace a pending descriptor (rebinding a dequeue to a new head),
+		// and if the caller skipped its own slot on such a change it would
+		// return with its operation still pending and take the item of the
+		// node its descriptor was bound to — a node already consumed. Each
+		// failed validation means slot i's operation advanced.
+		d, ok := q.hpDesc.Protect(hpDesc, threadID, &q.state[i].P)
+		for !ok {
+			d, ok = q.hpDesc.Protect(hpDesc, threadID, &q.state[i].P)
 		}
 		if !d.pending.Load() || d.phase.Load() > phase {
 			return true

@@ -10,9 +10,9 @@ package service
 //
 // One breaker sample, one GCRA quota advance (AdmitN: k tokens at one
 // CAS), one connection-cap check, and one reqWG registration admit the
-// whole batch; the topic layer then pays one registry lock and one
-// backend batch op (EnqueueBatch/DequeueBatch, PR 5) for the k
-// messages. Bodies are length-prefixed frames (frame.go) encoded into
+// whole batch; the topic layer then pays one slab of delivery records
+// and one backend batch op (EnqueueBatch/DequeueBatch) for the k
+// messages, and resolves each id to its record without a lock. Bodies are length-prefixed frames (frame.go) encoded into
 // and decoded out of per-connection pooled buffers, so a steady batched
 // workload allocates nothing per message in the handler.
 //

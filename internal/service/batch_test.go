@@ -99,12 +99,11 @@ func TestFrameHostilePayloadLength(t *testing.T) {
 	}
 }
 
-// TestLeaseTokensGloballyUnique: delivery tokens must come from one
-// process-global stream. Per-topic streams would hand the same numeric
-// token to leases in different topics, and because the slab pool is
-// shared across topics, a recycled record could then satisfy a stale
-// ack from its previous life in another topic (the ABA the token
-// exists to prevent).
+// TestLeaseTokensGloballyUnique: delivery tokens come from one
+// process-global stream, so a token names one lease in the process's
+// history and a stale ack can never satisfy a recycled record's CAS.
+// Per-topic streams would hand the same numeric token to leases in
+// different topics.
 func TestLeaseTokensGloballyUnique(t *testing.T) {
 	s := newTestService(t, Config{Topics: []string{"a", "b"}})
 	seen := map[uint64]string{}

@@ -203,7 +203,7 @@ func TestRedelivery(t *testing.T) {
 	now := time.Unix(2000, 0)
 
 	topic.Produce("a", []byte("payload"))
-	rec, tok1, ok, err := topic.Consume(now)
+	d1, ok, err := topic.ConsumeOne(now)
 	if err != nil || !ok {
 		t.Fatalf("consume: ok=%v err=%v", ok, err)
 	}
@@ -222,27 +222,27 @@ func TestRedelivery(t *testing.T) {
 	}
 
 	// The crashed consumer's late ack must not count.
-	if res := topic.Ack(rec.id, tok1); res != AckConflict {
+	if res := topic.Ack(d1.ID, d1.Token); res != AckConflict {
 		t.Fatalf("stale ack = %v, want AckConflict", res)
 	}
 
-	rec2, tok2, ok, err := topic.Consume(late)
+	d2, ok, err := topic.ConsumeOne(late)
 	if err != nil || !ok {
 		t.Fatalf("re-consume: ok=%v err=%v", ok, err)
 	}
-	if rec2.id != rec.id {
-		t.Fatalf("redelivered id %d, want original %d", rec2.id, rec.id)
+	if d2.ID != d1.ID {
+		t.Fatalf("redelivered id %d, want original %d", d2.ID, d1.ID)
 	}
-	if tok2 == tok1 {
+	if d2.Token == d1.Token {
 		t.Fatal("redelivery reused the lease token: stale acks would land")
 	}
-	if string(rec2.payload) != "payload" {
-		t.Fatalf("payload corrupted across redelivery: %q", rec2.payload)
+	if string(d2.Payload) != "payload" {
+		t.Fatalf("payload corrupted across redelivery: %q", d2.Payload)
 	}
-	if res := topic.Ack(rec2.id, tok2); res != AckOK {
+	if res := topic.Ack(d2.ID, d2.Token); res != AckOK {
 		t.Fatalf("fresh ack = %v, want AckOK", res)
 	}
-	if res := topic.Ack(rec2.id, tok2); res != AckUnknown {
+	if res := topic.Ack(d2.ID, d2.Token); res != AckUnknown {
 		t.Fatalf("double ack = %v, want AckUnknown (record removed)", res)
 	}
 	if st := topic.Stats(); st.Redelivered != 1 || st.Acked != 1 || st.Conflicts != 1 {
@@ -257,8 +257,8 @@ func TestAckBeatsSweeper(t *testing.T) {
 	topic := s.Topic("t")
 	now := time.Unix(2000, 0)
 	topic.Produce("a", []byte("x"))
-	rec, tok, _, _ := topic.Consume(now)
-	if res := topic.Ack(rec.id, tok); res != AckOK {
+	d, _, _ := topic.ConsumeOne(now)
+	if res := topic.Ack(d.ID, d.Token); res != AckOK {
 		t.Fatalf("ack = %v", res)
 	}
 	if n := topic.sweep(now.Add(time.Hour)); n != 0 {
@@ -312,7 +312,7 @@ func TestDrainReportsUnacked(t *testing.T) {
 	now := time.Unix(2000, 0)
 	topic.Produce("a", []byte("kept"))
 	topic.Produce("a", []byte("left queued"))
-	if _, _, ok, err := topic.Consume(now); !ok || err != nil {
+	if _, ok, err := topic.ConsumeOne(now); !ok || err != nil {
 		t.Fatalf("consume: ok=%v err=%v", ok, err)
 	}
 	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -334,12 +334,12 @@ func TestAckDuringClose(t *testing.T) {
 	topic := s.Topic("t")
 	now := time.Unix(2000, 0)
 	topic.Produce("a", []byte("x"))
-	rec, tok, _, _ := topic.Consume(now)
+	d, _, _ := topic.ConsumeOne(now)
 	topic.closing.Store(true)
 	if n := topic.sweep(now.Add(time.Hour)); n != 0 {
 		t.Fatalf("closing sweep redelivered %d, want 0", n)
 	}
-	if res := topic.Ack(rec.id, tok); res != AckOK {
+	if res := topic.Ack(d.ID, d.Token); res != AckOK {
 		t.Fatalf("ack while closing = %v, want AckOK", res)
 	}
 }

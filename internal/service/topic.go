@@ -1,6 +1,8 @@
 package service
 
 import (
+	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,96 +33,89 @@ func stateOf(w uint64) uint64       { return w >> stateShift }
 func seqOf(w uint64) uint64         { return w & seqMask }
 
 // delivery is one message's lifecycle record. The queue itself carries
-// only the message id; payload and lease state live here, in a registry
-// the sweeper can scan. All transitions are single CASes on word, which
-// is what makes the ack-vs-redeliver race safe: exactly one of the
-// consumer's Ack and the sweeper's claim wins the leased word.
+// only the message id; payload and lease state live here, in the
+// topic's slab directory, which the sweeper scans. All transitions are
+// single CASes on word, which is what makes the ack-vs-redeliver race
+// safe: exactly one of the consumer's Ack and the sweeper's claim wins
+// the leased word.
 type delivery struct {
-	id      uint64
-	tenant  string
+	// payload aliases the owning slab's buffer. Only the dequeuer of the
+	// pending record reads it (see ConsumeBatch).
 	payload []byte
-
-	// owner is the pooled slab this record was allocated from (nil for
-	// single-op heap records). The last ack of a slab's records returns
-	// the slab — records and payload bytes both — to the pool; see slab.
-	owner *slab
 
 	// word is the packed (state, lease seq) pair; see pack.
 	word atomic.Uint64
 	// deadline is the current lease's expiry in unix nanos; meaningful
 	// only while word holds stateLeased. Written by the leasing consumer
-	// before its CAS publishes the lease, so the sweeper never pairs a
-	// fresh lease with a stale deadline.
+	// before it publishes the lease, so the sweeper never pairs a fresh
+	// lease with a stale deadline.
 	deadline atomic.Int64
-
-	redeliveries atomic.Int64
 }
 
-// slab is one batch's worth of delivery records plus one backing buffer
-// for their payload bytes, recycled through a sync.Pool so a steady
-// batched workload allocates nothing per message.
+// Message ids are (generation, record number) pairs, so every lookup
+// is arithmetic on the id plus one generation compare:
 //
-// Recycling records that ackers, consumers, and the sweeper may still
-// hold pointers to is only safe under two disciplines, both load-bearing:
+//	bits 63..32  the slab's generation when the message was produced
+//	bits 31..0   the record number: chunk index × chunkRecs + position
 //
-//   - lease tokens come from a process-global counter (leaseSeq) with
-//     the same scope as the pool itself, so a CAS keyed on leased|token
-//     can never land on a recycled record — the token names one lease in
-//     the process's history, not one lease of one record or one topic.
-//     Per-record sequences would recur after reuse; per-topic sequences
-//     would recur when a slab recycles from one topic into another,
-//     letting a stale ack held across that migration land on the new
-//     topic's record;
-//   - non-atomic fields (id, payload bytes) are read only while the
-//     record is map-resident and t.mu is held. A recycle begins with an
-//     ack's map delete, and every map delete takes t.mu, so holding the
-//     lock pins every record found in the map for the duration.
+// Generations start at 1 and skip 0 on wrap, so ids are never zero.
+// They are unique per topic until one slab recycles 2^32 times.
+const (
+	chunkBits = 10
+	chunkRecs = 1 << chunkBits // records per chunk, and the largest slab
+	nClasses  = chunkBits + 1  // slab classes of 1, 2, 4, ..., chunkRecs records
+	genShift  = 32
+	maxChunks = 1 << (genShift - chunkBits)
+)
+
+// slab is the record table's unit of reuse: a power-of-two run of
+// delivery records plus one buffer for their payload bytes. A produce
+// takes one slab for its batch; the ack that drops live to zero returns
+// it to the topic's free list for its size class. Slabs are carved, all
+// of one class, out of chunkRecs-record chunks, and never leave their
+// topic: the directory indexes every chunk ever created, so the table is
+// sized by the peak of outstanding batches, not by traffic.
 //
-// Everything else a stale pointer can do — the sweeper's claim CAS, a
-// late ack's CAS — re-checks the atomic word first and fails harmlessly.
+// Reuse is guarded by the generation: the releasing acker bumps gen
+// before the slab reaches the free list, so an id from a previous life
+// fails the lookup's generation compare. A lookup that passed the
+// compare just before the bump can still reach the record; what it can
+// do there is harmless:
+//
+//   - Ack and the sweeper act only through a CAS keyed on leased|token,
+//     and lease tokens come from one process-global counter (leaseSeq),
+//     so a token names one lease in the process's history and a stale
+//     CAS never matches a recycled record;
+//   - the payload — the only non-atomic field — is read only by the
+//     dequeuer of a pending record, before it publishes the lease. Until
+//     that lease exists nothing can ack the record, so its slab cannot
+//     be recycled under the read.
 type slab struct {
+	gen  atomic.Uint32
+	base uint32 // record number of recs[0], fixed for the slab's life
+	size int    // class: len(recs) == 1<<size
+
+	// recs is carved once from its chunk and never reallocated, so
+	// lookups may index it without a lock. Records past the current batch
+	// stay acked, so scans skip them.
 	recs []delivery
 	buf  []byte
-	// live counts map-resident records; the acker that drops it to zero
-	// owns the slab and returns it to the pool.
+	// used is how many records the current batch fills (producer-owned).
+	used int
+	// live counts records not yet acked; the acker that drops it to zero
+	// recycles the slab.
 	live atomic.Int64
 }
 
-var slabPool = sync.Pool{New: func() any { return new(slab) }}
+func (sl *slab) id(gen uint32, off int) uint64 {
+	return uint64(gen)<<genShift | uint64(sl.base+uint32(off))
+}
 
 // leaseSeq issues delivery tokens: one process-global stream shared by
-// every topic. Global (not per-topic, not per-record) uniqueness is what
-// makes recycling through the process-global slabPool ABA-free — a slab
-// may leave topic A and resurface in topic B, and a stale ack from A's
-// past must find a token that no lease in B can ever carry. 56 bits
+// every topic, so a token names exactly one lease ever granted and a
+// late ack keyed on it can never land on a recycled record. 56 bits
 // (seqMask) at service rates outlive any process.
 var leaseSeq atomic.Uint64
-
-// getSlab returns a slab sized for k records and total payload bytes.
-func getSlab(k, total int) *slab {
-	sl := slabPool.Get().(*slab)
-	if cap(sl.recs) < k {
-		sl.recs = make([]delivery, k)
-	} else {
-		sl.recs = sl.recs[:k]
-	}
-	if cap(sl.buf) < total {
-		sl.buf = make([]byte, 0, total)
-	} else {
-		sl.buf = sl.buf[:0]
-	}
-	sl.live.Store(int64(k))
-	return sl
-}
-
-// release is the acker's side of the slab contract: called once per
-// record after its map delete, it frees the slab when the last record
-// goes. Heap records (owner nil) are no-ops.
-func (rec *delivery) release() {
-	if sl := rec.owner; sl != nil && sl.live.Add(-1) == 0 {
-		slabPool.Put(sl)
-	}
-}
 
 // Topic is one named queue plus its delivery-lease layer. The backend is
 // the sharded wait-free front behind an AutoQueue, so request-handler
@@ -130,9 +125,15 @@ type Topic struct {
 	q     *turnqueue.AutoQueue[uint64]
 	lease time.Duration
 
-	mu     sync.Mutex
-	recs   map[uint64]*delivery
-	nextID atomic.Uint64
+	// dir is the slab directory: chunk i holds record numbers
+	// [i*chunkRecs, (i+1)*chunkRecs), carved into slabs of one class. It
+	// is copy-on-grow: a new chunk is appended under slabMu and the grown
+	// slice published with one store, so readers index it lock-free.
+	dir atomic.Pointer[[][]slab]
+	// slabMu guards the free lists and directory growth: O(1) work per
+	// batch produced and per slab recycled, never per message.
+	slabMu sync.Mutex
+	free   [nClasses][]*slab
 
 	// wake pulses when messages arrive (produce or redelivery); long-poll
 	// consumers park on it instead of spinning empty round trips. One
@@ -162,10 +163,136 @@ func newTopic(name string, q *turnqueue.AutoQueue[uint64], lease time.Duration, 
 		name:  name,
 		q:     q,
 		lease: lease,
-		recs:  make(map[uint64]*delivery),
 		wake:  make(chan struct{}, 1),
 		br:    br,
 	}
+}
+
+// chunks returns the current directory (nil before the first produce).
+func (t *Topic) chunks() [][]slab {
+	if d := t.dir.Load(); d != nil {
+		return *d
+	}
+	return nil
+}
+
+// getSlab takes a slab of the smallest class holding k records (k <=
+// chunkRecs) from the free list, or carves a new chunk into slabs of
+// that class, and fills its first k records with payloads as pending
+// messages. The message ids are appended to ids.
+func (t *Topic) getSlab(payloads [][]byte, ids []uint64) []uint64 {
+	k := len(payloads)
+	size := bits.Len(uint(k - 1))
+	t.slabMu.Lock()
+	var sl *slab
+	if n := len(t.free[size]); n > 0 {
+		sl = t.free[size][n-1]
+		t.free[size][n-1] = nil
+		t.free[size] = t.free[size][:n-1]
+	} else {
+		sl = t.newChunkLocked(size)
+	}
+	t.slabMu.Unlock()
+
+	total := 0
+	for _, p := range payloads {
+		total += len(p)
+	}
+	if cap(sl.buf) < total {
+		sl.buf = make([]byte, 0, total)
+	}
+	sl.buf = sl.buf[:0]
+	for i := k; i < sl.used; i++ {
+		sl.recs[i].payload = nil
+	}
+	sl.used = k
+	sl.live.Store(int64(k))
+	gen := sl.gen.Load()
+	for i, p := range payloads {
+		rec := &sl.recs[i]
+		off := len(sl.buf)
+		sl.buf = append(sl.buf, p...) // cap pre-sized: never reallocates
+		rec.payload = sl.buf[off:len(sl.buf):len(sl.buf)]
+		rec.deadline.Store(0)
+		rec.word.Store(pack(statePending, 0))
+		ids = append(ids, sl.id(gen, i))
+	}
+	return ids
+}
+
+// newChunkLocked appends a chunk carved into slabs of class size, every
+// record acked (free), puts all but the first slab on the free list and
+// returns the first. Caller holds slabMu.
+func (t *Topic) newChunkLocked(size int) *slab {
+	d := t.chunks()
+	if len(d) >= maxChunks {
+		// 2^32 outstanding records: memory runs out long before this.
+		panic(fmt.Sprintf("service: topic %q exceeds %d outstanding messages", t.name, uint64(maxChunks)*chunkRecs))
+	}
+	recs := make([]delivery, chunkRecs)
+	for i := range recs {
+		recs[i].word.Store(pack(stateAcked, 0))
+	}
+	c := make([]slab, chunkRecs>>size)
+	for i := range c {
+		lo, hi := i<<size, (i+1)<<size
+		c[i].base = uint32(len(d)<<chunkBits + lo)
+		c[i].size = size
+		c[i].recs = recs[lo:hi:hi]
+		c[i].gen.Store(1)
+	}
+	d = append(d, c)
+	t.dir.Store(&d)
+	for i := len(c) - 1; i > 0; i-- {
+		t.free[size] = append(t.free[size], &c[i])
+	}
+	return &c[0]
+}
+
+// slabBufKeep is the largest payload buffer a recycled slab keeps. A
+// slab on the free list may sit there indefinitely, so one that carried
+// large payloads drops them at release instead of pinning the peak.
+const slabBufKeep = 4 << 10
+
+// release is the acker's side of the slab contract: called once per
+// acked record, it recycles the slab when the last record goes. The
+// generation bump precedes the free-list push, so by the time a producer
+// can reuse the slab every old id already fails its lookup.
+func (t *Topic) release(sl *slab) {
+	if sl.live.Add(-1) != 0 {
+		return
+	}
+	// Every record is acked, so no dequeuer can still read a payload.
+	if cap(sl.buf) > slabBufKeep {
+		sl.buf = nil
+		for i := 0; i < sl.used; i++ {
+			sl.recs[i].payload = nil
+		}
+	}
+	g := sl.gen.Load() + 1
+	if g == 0 {
+		g = 1
+	}
+	sl.gen.Store(g)
+	t.slabMu.Lock()
+	t.free[sl.size] = append(t.free[sl.size], sl)
+	t.slabMu.Unlock()
+}
+
+// lookup resolves an id to its slab and record; nil when the id names
+// no record of the slab's current generation.
+func (t *Topic) lookup(id uint64) (*slab, *delivery) {
+	d := t.chunks()
+	r := uint32(id)
+	if int(r>>chunkBits) >= len(d) {
+		return nil, nil
+	}
+	c := d[r>>chunkBits]
+	sl := &c[(r%chunkRecs)>>c[0].size]
+	if sl.gen.Load() != uint32(id>>genShift) {
+		return nil, nil
+	}
+	return sl, &sl.recs[r-sl.base]
 }
 
 // notify pulses the wake channel (non-blocking: a dropped pulse means a
@@ -177,66 +304,45 @@ func (t *Topic) notify() {
 	}
 }
 
-// Produce assigns the message an id, registers its delivery record, and
-// enqueues the id on the wait-free backend.
+// Produce registers one message in a single-record slab and enqueues its
+// id on the wait-free backend. It uses the single-op Enqueue, not a k=1
+// EnqueueBatch: a batch enqueue seals the tail ring and announces a ring
+// of its own, which per message would turn every produce into a slow
+// path and multiply the rings the reclaimer must retire. The payload is
+// copied; the tenant is charged at admission and not retained.
 func (t *Topic) Produce(tenant string, payload []byte) uint64 {
-	id := t.nextID.Add(1)
-	rec := &delivery{id: id, tenant: tenant, payload: payload}
-	rec.word.Store(pack(statePending, 0))
-	t.mu.Lock()
-	t.recs[id] = rec
-	t.mu.Unlock()
+	var one [1]uint64
+	id := t.getSlab([][]byte{payload}, one[:0])[0]
 	t.q.Enqueue(id)
 	t.produced.Add(1)
 	t.notify()
 	return id
 }
 
-// ProduceBatch registers and enqueues k payloads as one batch: one id
-// reservation, one slab allocation (pooled — payload bytes are copied
-// into the slab's buffer, so the caller's payload views may alias a
-// transient request buffer), one registry lock, and one EnqueueBatch on
-// the wait-free backend, which installs the whole chain at a single CAS
-// (PR 5). The assigned ids are appended to ids and returned.
+// ProduceBatch registers and enqueues k payloads as one batch: one slab
+// per chunkRecs messages (payload bytes are copied into the slab's buffer,
+// so the caller's payload views may alias a transient request buffer)
+// and one EnqueueBatch on the wait-free backend, which installs the
+// whole chain at a single CAS. The assigned ids are appended to ids and
+// returned. The tenant is charged at admission and not retained.
 func (t *Topic) ProduceBatch(tenant string, payloads [][]byte, ids []uint64) []uint64 {
 	k := len(payloads)
 	if k == 0 {
 		return ids
 	}
-	total := 0
-	for _, p := range payloads {
-		total += len(p)
-	}
-	sl := getSlab(k, total)
-	base := t.nextID.Add(uint64(k)) - uint64(k) + 1
 	start := len(ids)
-	for i, p := range payloads {
-		rec := &sl.recs[i]
-		off := len(sl.buf)
-		sl.buf = append(sl.buf, p...) // cap pre-sized: never reallocates
-		rec.id = base + uint64(i)
-		rec.tenant = tenant
-		rec.payload = sl.buf[off:len(sl.buf):len(sl.buf)]
-		rec.owner = sl
-		rec.deadline.Store(0)
-		rec.redeliveries.Store(0)
-		rec.word.Store(pack(statePending, 0))
-		ids = append(ids, rec.id)
+	for off := 0; off < k; off += chunkRecs {
+		ids = t.getSlab(payloads[off:min(off+chunkRecs, k)], ids)
 	}
-	t.mu.Lock()
-	for i := range sl.recs {
-		t.recs[sl.recs[i].id] = &sl.recs[i]
-	}
-	t.mu.Unlock()
 	t.q.EnqueueBatch(ids[start:])
 	t.produced.Add(int64(k))
 	t.notify()
 	return ids
 }
 
-// Consume dequeues one message and leases it to the caller until
-// now+lease. ok=false means the topic is empty. The returned token must
-// accompany the Ack.
+// ConsumeOne dequeues one message and leases it to the caller until
+// now+lease. ok=false means the topic is empty. The delivery's payload
+// is a private copy; its token must accompany the Ack.
 //
 // The SvcConsumerCrash fault point sits in the window between Dequeue
 // and the lease commit — the id is out of the queue but no lease exists
@@ -244,62 +350,40 @@ func (t *Topic) ProduceBatch(tenant string, payloads [][]byte, ids []uint64) []u
 // message is never lost; crashed reports that the caller's goroutine
 // was the simulated victim (the handler answers 500 and the client
 // retries).
-func (t *Topic) Consume(now time.Time) (rec *delivery, token uint64, ok bool, crashed error) {
-	rec, _, token, _, ok, crashed = t.consume(now, false)
-	return rec, token, ok, crashed
-}
-
-// ConsumeOne is the handler-facing form of Consume: it returns the
-// delivery by value, with id captured and payload made stable (copied
-// off slab records) while t.mu still pins the record, so the caller may
-// encode the response at leisure without racing a slab recycle.
 func (t *Topic) ConsumeOne(now time.Time) (d Delivery, ok bool, crashed error) {
-	_, id, token, payload, ok, crashed := t.consume(now, true)
-	if !ok {
-		return Delivery{}, false, crashed
-	}
-	return Delivery{ID: id, Token: token, Payload: payload}, true, nil
-}
-
-func (t *Topic) consume(now time.Time, stable bool) (rec *delivery, id, token uint64, payload []byte, ok bool, crashed error) {
 	for {
 		qid, got := t.q.Dequeue()
 		if !got {
-			return nil, 0, 0, nil, false, nil
+			return Delivery{}, false, nil
 		}
 		if err := t.leaseCrashWindow(qid); err != nil {
-			return nil, 0, 0, nil, false, err
+			return Delivery{}, false, err
 		}
-		t.mu.Lock()
-		rec = t.recs[qid]
-		if rec == nil {
-			// Unreachable in normal operation (only the queue feeds ids,
-			// and records outlive their queue residency); tolerate it by
-			// taking the next message rather than failing the request.
-			t.mu.Unlock()
+		_, rec := t.lookup(qid)
+		if rec == nil || stateOf(rec.word.Load()) != statePending {
+			// Unreachable: the queue holds only ids of pending records.
+			// Taking the next message beats failing the request.
 			continue
 		}
-		w := rec.word.Load()
-		if stateOf(w) != statePending {
-			t.mu.Unlock()
-			continue
-		}
-		token = leaseSeq.Add(1)
-		id = rec.id
-		payload = rec.payload
-		if stable && rec.owner != nil {
-			payload = append([]byte(nil), payload...)
-		}
-		// Deadline first: the sweeper reads (word, deadline) in that
-		// order and must never see the new lease with the old expiry.
-		rec.deadline.Store(now.Add(t.lease).UnixNano())
-		if rec.word.CompareAndSwap(w, pack(stateLeased, token)) {
-			t.mu.Unlock()
-			t.consumed.Add(1)
-			return rec, id, token, payload, true, nil
-		}
-		t.mu.Unlock()
+		d = Delivery{ID: qid, Token: leaseSeq.Add(1)}
+		d.Payload = append([]byte(nil), rec.payload...)
+		rec.grant(d.Token, now.Add(t.lease).UnixNano())
+		t.consumed.Add(1)
+		return d, true, nil
 	}
+}
+
+// grant publishes a lease on a pending record its caller dequeued. A
+// pending word changes only under its one dequeuer — Ack and the sweeper
+// act on leased words alone — so a plain store publishes the lease.
+// Deadline first: the sweeper reads (word, deadline) in that order and
+// must never see the new lease with the old expiry. Once the lease is
+// visible the record may be acked (or redelivered and acked) and its
+// slab recycled at any moment, so the caller must be done with the
+// payload before calling grant.
+func (rec *delivery) grant(token uint64, deadline int64) {
+	rec.deadline.Store(deadline)
+	rec.word.Store(pack(stateLeased, token))
 }
 
 // deliveryWireOverhead is the worst-case encoded size of one delivery's
@@ -312,10 +396,10 @@ const deliveryWireOverhead = 30
 // (one slot lease, see AutoQueue.DequeueBatch) and leases each to the
 // caller with one shared deadline. For every granted lease it calls emit
 // with the id, token, and payload; emit must copy the payload before
-// returning — the bytes are pinned only for the duration of the call
-// (the whole grant loop runs under t.mu, which is also the single
-// registry pass the batch pays instead of k). Returns the number of
-// leases granted (== emit calls).
+// returning — emit runs before the lease is published, and once it is,
+// the record's slab may be recycled. No lock is taken: each id resolves
+// to its record by arithmetic. Returns the number of leases granted (==
+// emit calls).
 //
 // maxBytes bounds the summed payload + per-delivery overhead of the
 // granted leases: once the next record would push past it, the grant
@@ -333,17 +417,15 @@ func (t *Topic) ConsumeBatch(now time.Time, ids []uint64, maxBytes int, emit fun
 		return 0
 	}
 	deadline := now.Add(t.lease).UnixNano()
+	// One reservation covers the batch's tokens; any left unused are
+	// simply never issued.
+	token := leaseSeq.Add(uint64(n)) - uint64(n)
 	granted, used := 0, 0
 	requeued := false
-	t.mu.Lock()
 	for i, qid := range ids[:n] {
-		rec := t.recs[qid]
-		if rec == nil {
-			continue
-		}
-		w := rec.word.Load()
-		if stateOf(w) != statePending {
-			continue
+		_, rec := t.lookup(qid)
+		if rec == nil || stateOf(rec.word.Load()) != statePending {
+			continue // unreachable, as in ConsumeOne
 		}
 		if sz := len(rec.payload) + deliveryWireOverhead; maxBytes > 0 && granted > 0 && used+sz > maxBytes {
 			// Response budget exhausted: put the rest back, still pending.
@@ -353,20 +435,11 @@ func (t *Topic) ConsumeBatch(now time.Time, ids []uint64, maxBytes int, emit fun
 		} else {
 			used += sz
 		}
-		token := leaseSeq.Add(1)
-		rec.deadline.Store(deadline)
-		if !rec.word.CompareAndSwap(w, pack(stateLeased, token)) {
-			// Unreachable: a pending id has exactly one dequeuer and the
-			// sweeper only touches leased words. Skipping redelivers it.
-			continue
-		}
-		// Post-CAS payload read is safe here and only here: recycling
-		// the record requires a fresh lease first, and leasing requires
-		// the t.mu we hold.
-		emit(rec.id, token, rec.payload)
+		token++
+		emit(qid, token, rec.payload)
+		rec.grant(token, deadline)
 		granted++
 	}
-	t.mu.Unlock()
 	t.consumed.Add(int64(granted))
 	if requeued {
 		t.notify() // the suffix is news to any parked long-poller
@@ -401,51 +474,50 @@ func (t *Topic) leaseCrashWindow(id uint64) (err error) {
 // redelivery exactly-once: either the consumer's ack or the sweeper's
 // claim wins the word, never both.
 func (t *Topic) Ack(id, token uint64) AckResult {
-	t.mu.Lock()
-	rec := t.recs[id]
-	t.mu.Unlock()
+	res := t.ack(id, token)
+	switch res {
+	case AckOK:
+		t.acked.Add(1)
+	case AckConflict:
+		t.conflicts.Add(1)
+	}
+	return res
+}
+
+// AckBatch resolves each (id, token) pair exactly as Ack would — the
+// same single-CAS-decides race with the sweeper, per delivery — with
+// the counters updated once per batch. Results are appended to results
+// in entry order.
+func (t *Topic) AckBatch(entries []AckEntry, results []AckResult) []AckResult {
+	var acked, conflicts int64
+	for _, e := range entries {
+		res := t.ack(e.ID, e.Token)
+		switch res {
+		case AckOK:
+			acked++
+		case AckConflict:
+			conflicts++
+		}
+		results = append(results, res)
+	}
+	t.acked.Add(acked)
+	t.conflicts.Add(conflicts)
+	return results
+}
+
+func (t *Topic) ack(id, token uint64) AckResult {
+	sl, rec := t.lookup(id)
 	if rec == nil {
 		return AckUnknown
 	}
 	if !rec.word.CompareAndSwap(pack(stateLeased, token), pack(stateAcked, token)) {
-		t.conflicts.Add(1)
+		if stateOf(rec.word.Load()) == stateAcked || sl.gen.Load() != uint32(id>>genShift) {
+			return AckUnknown // acked before, or the slab has moved on
+		}
 		return AckConflict
 	}
-	t.mu.Lock()
-	delete(t.recs, id)
-	t.mu.Unlock()
-	rec.release()
-	t.acked.Add(1)
+	t.release(sl)
 	return AckOK
-}
-
-// AckBatch resolves each (id, token) pair exactly as Ack would — the
-// same single-CAS-decides race with the sweeper, per delivery — but
-// pays one registry lock for the whole batch. Results are appended to
-// results in entry order.
-func (t *Topic) AckBatch(entries []AckEntry, results []AckResult) []AckResult {
-	var acked, conflicts int64
-	t.mu.Lock()
-	for _, e := range entries {
-		rec := t.recs[e.ID]
-		if rec == nil {
-			results = append(results, AckUnknown)
-			continue
-		}
-		if !rec.word.CompareAndSwap(pack(stateLeased, e.Token), pack(stateAcked, e.Token)) {
-			conflicts++
-			results = append(results, AckConflict)
-			continue
-		}
-		delete(t.recs, e.ID)
-		rec.release()
-		acked++
-		results = append(results, AckOK)
-	}
-	t.mu.Unlock()
-	t.acked.Add(acked)
-	t.conflicts.Add(conflicts)
-	return results
 }
 
 // AckResult classifies an Ack attempt.
@@ -467,52 +539,58 @@ const (
 // Ack is fine — the ack won the message), republishes the record as
 // pending with the *claimed* seq, and only then re-enqueues the id.
 // Publication order matters: the id must not be dequeuable while the
-// word still reads reclaiming, or a consumer would skip it. A closing
-// topic stops the sweep before any claim: expired leases stay leased for
-// Drain to report as unacked, and a last-instant Ack lands cleanly
-// instead of bouncing off a claim that would only be put back (a
-// spurious 409 at shutdown).
+// word still reads reclaiming, or a consumer would skip it. A won claim
+// also pins the slab (the record is not acked), so the generation read
+// for the id is the one the message was produced under. A closing topic
+// stops the sweep before any claim: expired leases stay leased for Drain
+// to report as unacked, and a last-instant Ack lands cleanly instead of
+// bouncing off a claim that would only be put back (a spurious 409 at
+// shutdown).
 func (t *Topic) sweep(now time.Time) (redelivered int) {
 	nowNS := now.UnixNano()
-	t.mu.Lock()
-	var expired []*delivery
-	for _, rec := range t.recs {
-		if w := rec.word.Load(); stateOf(w) == stateLeased && rec.deadline.Load() < nowNS {
-			expired = append(expired, rec)
+scan:
+	for _, c := range t.chunks() {
+		for i := range c {
+			sl := &c[i]
+			if sl.live.Load() == 0 {
+				continue // free, or every record acked
+			}
+			for off := range sl.recs {
+				rec := &sl.recs[off]
+				w := rec.word.Load()
+				if stateOf(w) != stateLeased || rec.deadline.Load() >= nowNS {
+					continue
+				}
+				if t.closing.Load() {
+					break scan // Drain owns the accounting from here on
+				}
+				tok := seqOf(w)
+				if !rec.word.CompareAndSwap(w, pack(stateReclaiming, tok)) {
+					continue // lost to a last-instant Ack: the consumer keeps it
+				}
+				rec.word.Store(pack(statePending, tok))
+				t.q.Enqueue(sl.id(sl.gen.Load(), off))
+				redelivered++
+			}
 		}
-	}
-	t.mu.Unlock()
-
-	for _, rec := range expired {
-		if t.closing.Load() {
-			break // Drain owns the registry's accounting from here on
-		}
-		w := rec.word.Load()
-		if stateOf(w) != stateLeased || rec.deadline.Load() >= nowNS {
-			continue // acked, or re-leased with a fresh deadline, since the scan
-		}
-		tok := seqOf(w)
-		if !rec.word.CompareAndSwap(w, pack(stateReclaiming, tok)) {
-			continue // lost to a last-instant Ack: the consumer keeps it
-		}
-		rec.word.Store(pack(statePending, tok))
-		t.q.Enqueue(rec.id)
-		rec.redeliveries.Add(1)
-		t.redelivered.Add(1)
-		redelivered++
 	}
 	if redelivered > 0 {
+		t.redelivered.Add(int64(redelivered))
 		t.notify()
 	}
 	return redelivered
 }
 
 // Outstanding counts undelivered or unacked messages (pending + leased
-// + mid-reclaim records).
+// + mid-reclaim records): the sum of the slabs' live counts.
 func (t *Topic) Outstanding() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.recs)
+	n := 0
+	for _, c := range t.chunks() {
+		for i := range c {
+			n += int(c[i].live.Load())
+		}
+	}
+	return n
 }
 
 // unackedCount counts deliveries handed to a consumer and never acked —
@@ -520,12 +598,14 @@ func (t *Topic) Outstanding() int {
 // stopped. Drain reports these so shutdown never silently discards a
 // delivery a consumer may still believe it owns.
 func (t *Topic) unackedCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
-	for _, rec := range t.recs {
-		if st := stateOf(rec.word.Load()); st == stateLeased || st == stateReclaiming {
-			n++
+	for _, c := range t.chunks() {
+		for i := range c {
+			for j := range c[i].recs {
+				if st := stateOf(c[i].recs[j].word.Load()); st == stateLeased || st == stateReclaiming {
+					n++
+				}
+			}
 		}
 	}
 	return n

@@ -137,27 +137,31 @@ func newSegment[T any](size int) *segment[T] {
 	return s
 }
 
+// size is the ring's cell count: the queue's segment size for rings
+// built by the single-op slow path, the chunk length for batch rings.
+func (s *segment[T]) size() int64 { return int64(len(s.cells)) }
+
 // capLimit returns the ring's effective capacity once it is closed to
 // deposits (sealed, or naturally full), and -1 while the capacity is not
-// yet determined (open, or seal pending with enqIdx still below
-// segSize). Monotone: once a non-negative limit is returned it never
+// yet determined (open, or seal pending with enqIdx still below the
+// ring's size). Monotone: once a non-negative limit is returned it never
 // changes — a published capacity is write-once, and natural fullness
-// reports segSize only when it is provably the final capacity (enqIdx is
-// monotone, so any capacity published later is min(enqIdx', segSize) =
-// segSize too).
-func (s *segment[T]) capLimit(segSize int) int64 {
+// reports the size only when it is provably the final capacity (enqIdx
+// is monotone, so any capacity published later is min(enqIdx', size) =
+// size too).
+func (s *segment[T]) capLimit() int64 {
 	if sl := s.sealed.Load(); sl >= 0 {
 		return sl
 	}
-	if s.enqIdx.Load() >= int64(segSize) {
-		return int64(segSize)
+	if s.enqIdx.Load() >= s.size() {
+		return s.size()
 	}
 	return -1
 }
 
 // seal closes the ring to deposits and returns its effective capacity.
 // Two-phase: CAS sealed open→pending, THEN load enqIdx, then publish
-// min(enqIdx, segSize) as the capacity (pending→capacity; racing callers
+// min(enqIdx, size) as the capacity (pending→capacity; racing callers
 // help, first publish wins). won reports winning the first CAS.
 //
 // Safety argument (FIFO across the fast/slow boundary): the capacity is
@@ -175,7 +179,7 @@ func (s *segment[T]) capLimit(segSize int) int64 {
 // ticket drawn after the load but checking sealed before the CAS lands
 // could deposit at/above the capacity and be silently dropped when the
 // drained ring is removed.)
-func (s *segment[T]) seal(segSize int) (capacity int64, won bool) {
+func (s *segment[T]) seal() (capacity int64, won bool) {
 	for {
 		sl := s.sealed.Load()
 		if sl >= 0 {
@@ -187,7 +191,7 @@ func (s *segment[T]) seal(segSize int) (capacity int64, won bool) {
 			}
 			won = true
 		}
-		s.sealPublish(segSize)
+		s.sealPublish()
 	}
 }
 
@@ -198,16 +202,13 @@ func (s *segment[T]) sealBegin() bool {
 }
 
 // sealPublish is seal's second phase: load enqIdx — necessarily after
-// the open→pending transition — and publish min(enqIdx, segSize) as the
+// the open→pending transition — and publish min(enqIdx, size) as the
 // capacity. Any thread that observed pending may publish (first CAS
 // wins; every candidate capacity is safe because every candidate load
 // follows the transition), so a winner parked between the phases blocks
 // nobody. Returns the published capacity.
-func (s *segment[T]) sealPublish(segSize int) int64 {
-	e := s.enqIdx.Load()
-	if e > int64(segSize) {
-		e = int64(segSize)
-	}
+func (s *segment[T]) sealPublish() int64 {
+	e := min(s.enqIdx.Load(), s.size())
 	s.sealed.CompareAndSwap(sealPending, e)
 	return s.sealed.Load()
 }
@@ -385,7 +386,7 @@ func New[T any](opts ...Option) *Queue[T] {
 		if seg == nil {
 			return false
 		}
-		cl := seg.capLimit(cfg.segSize)
+		cl := seg.capLimit()
 		return cl >= 0 && seg.deqIdx.Load() >= cl
 	})
 	return q
@@ -486,7 +487,7 @@ func (q *Queue[T]) Enqueue(threadID int, item T) {
 		if seg == nil {
 			break // list sentinel: no ring yet, announce the first one
 		}
-		if cl := seg.capLimit(q.segSize); cl >= 0 {
+		if cl := seg.capLimit(); cl >= 0 {
 			// Tail ring closed to deposits: help the tail past an
 			// installed successor, or announce our own ring.
 			if lnext := tn.Next(); lnext != nil {
@@ -496,7 +497,7 @@ func (q *Queue[T]) Enqueue(threadID int, item T) {
 			break
 		}
 		t := seg.enqIdx.Add(1) - 1
-		if t >= int64(q.segSize) {
+		if t >= seg.size() {
 			continue // ring filled under us
 		}
 		if sl := seg.sealed.Load(); sl != sealOpen && (sl == sealPending || t >= sl) {
@@ -534,7 +535,7 @@ func (q *Queue[T]) Enqueue(threadID int, item T) {
 	}
 	// Fault point: fast path exhausted, nothing published yet.
 	inject.Fire(inject.CoreFastFallback)
-	q.sealTail(st)
+	q.sealTail(threadID, st)
 	seg := newSegment[T](q.segSize)
 	seg.enqIdx.Store(1)
 	seg.cells[0].Store(b)
@@ -555,7 +556,10 @@ func (q *Queue[T]) Enqueue(threadID int, item T) {
 // the batch, their nodes privately chained, and the whole chain
 // installed through a single consensus announce — the same all-or-
 // nothing chain install the plain Turn queue uses for batches, here at
-// ring granularity.
+// ring granularity. Each ring holds min(k, segSize) cells, so a batch
+// allocates in proportion to its length, not to the segment size; the
+// price is that a single Enqueue arriving right after a batch finds the
+// tail ring full and takes the slow path once.
 func (q *Queue[T]) EnqueueBatch(threadID int, items []T) {
 	if len(items) == 0 {
 		return
@@ -563,18 +567,19 @@ func (q *Queue[T]) EnqueueBatch(threadID int, items []T) {
 	qrt.CheckSlot(threadID, q.maxThreads)
 	q.rt.EnsureActive(threadID)
 	st := &q.stats[threadID]
-	q.sealTail(st)
+	q.sealTail(threadID, st)
 	var first, last *node[T]
 	for off := 0; off < len(items); off += q.segSize {
-		end := off + q.segSize
-		if end > len(items) {
-			end = len(items)
+		chunk := items[off:min(off+q.segSize, len(items))]
+		// The ring is sized to its chunk and born full, so it never takes
+		// a fast deposit; its boxes share one backing array.
+		seg := newSegment[T](len(chunk))
+		boxes := make([]cellBox[T], len(chunk))
+		for i, v := range chunk {
+			boxes[i].v = v
+			seg.cells[i].Store(&boxes[i])
 		}
-		seg := newSegment[T](q.segSize)
-		for i, v := range items[off:end] {
-			seg.cells[i].Store(&cellBox[T]{v: v})
-		}
-		seg.enqIdx.Store(int64(end - off))
+		seg.enqIdx.Store(int64(len(chunk)))
 		st.rings.Add(1)
 		nd := new(node[T])
 		nd.Reset(seg, int32(threadID))
@@ -604,15 +609,30 @@ func (q *Queue[T]) EnqueueBatch(threadID int, items []T) {
 // deposits (the fast path validates tn.Next() == nil after its FAA) and
 // the dequeue side seals it on sight once exhausted, so it cannot
 // strand anything. Sealing a stale tail is always safe — seal only ever
-// closes a ring. No hazard pointer is needed: the segment's fields are
-// atomics and Go's GC keeps a stale segment alive for the duration.
-func (q *Queue[T]) sealTail(st *statsSlot) {
-	if tn := q.enq.Tail(); tn != nil {
+// closes a ring.
+//
+// The tail node is read under the hpTail hazard pointer: once a ring
+// drains and its node is retired, the deleter clears the node's item, so
+// an unprotected tn.Item() races that write. A protect that fails
+// validation means the tail moved past the loaded node — which therefore
+// has a successor — and the attempt is retried on the new tail, at most
+// patience times; if the tail keeps moving, every ring it passed has a
+// successor and is the mid-list case above, so skipping the seal is
+// safe too. The protect overwrites hpTail, so the thread's cached tail
+// entry is invalidated.
+func (q *Queue[T]) sealTail(threadID int, st *statsSlot) {
+	q.caches[threadID].tail = nil
+	for attempt := 0; attempt < q.patience; attempt++ {
+		tn, ok := q.protect(hpTail, threadID, q.enq.TailPtr())
+		if !ok {
+			continue
+		}
 		if seg := tn.Item(); seg != nil {
-			if _, won := seg.seal(q.segSize); won {
+			if _, won := seg.seal(); won {
 				st.seals.Add(1)
 			}
 		}
+		return
 	}
 }
 
@@ -688,7 +708,7 @@ func (q *Queue[T]) fastDequeue(threadID int, st *statsSlot) (item T, ok, decided
 	}
 	seg := fr.Item()
 	d := seg.deqIdx.Load()
-	cl := seg.capLimit(q.segSize)
+	cl := seg.capLimit()
 	if cl >= 0 && d >= cl {
 		// Front ring drained and closed: remove it through the guarded
 		// consensus engine, then retry.
@@ -701,7 +721,7 @@ func (q *Queue[T]) fastDequeue(threadID int, st *statsSlot) (item T, ok, decided
 			// racing slow enqueues can leave one behind (both seal the old
 			// tail, then both announce). Seal it so the removal path can
 			// claim it, then retry.
-			seg.seal(q.segSize)
+			seg.seal()
 			return zero, false, false
 		}
 		// Open tail ring with no undelivered deposits and no successor:
@@ -712,7 +732,7 @@ func (q *Queue[T]) fastDequeue(threadID int, st *statsSlot) (item T, ok, decided
 		return zero, false, false
 	}
 	t := seg.deqIdx.Add(1) - 1
-	if cl2 := seg.capLimit(q.segSize); cl2 >= 0 && t >= cl2 {
+	if cl2 := seg.capLimit(); cl2 >= 0 && t >= cl2 {
 		return zero, false, false // ticket above a (possibly fresh) seal
 	}
 	// Fault point: dequeue ticket drawn, claim pending. A thread parked
@@ -838,7 +858,7 @@ func (q *Queue[T]) marchStep(threadID int) {
 	}
 	seg := fr.Item()
 	d := seg.deqIdx.Load()
-	cl := seg.capLimit(q.segSize)
+	cl := seg.capLimit()
 	if cl >= 0 && d >= cl {
 		q.removeRing(threadID)
 		return
@@ -856,7 +876,7 @@ func (q *Queue[T]) marchStep(threadID int) {
 		} else {
 			// Exhausted open ring mid-list (racing slow enqueues): seal it
 			// so the removal branch can claim it on the next step.
-			seg.seal(q.segSize)
+			seg.seal()
 		}
 		return
 	}

@@ -365,7 +365,7 @@ func TestSealTicketInterleavings(t *testing.T) {
 	if !seg.sealBegin() {
 		t.Fatal("sealBegin lost on a fresh ring")
 	}
-	if got := seg.sealPublish(segSize); ti >= got {
+	if got := seg.sealPublish(); ti >= got {
 		t.Fatalf("capacity %d strands pre-seal ticket %d", got, ti)
 	}
 
@@ -384,16 +384,16 @@ func TestSealTicketInterleavings(t *testing.T) {
 	if depositAllowed(seg2, t2) {
 		t.Fatal("ticket drawn mid-seal must be abandoned")
 	}
-	if seg2.capLimit(segSize) != -1 {
+	if seg2.capLimit() != -1 {
 		t.Fatal("capLimit must stay undetermined while the seal is pending")
 	}
 	// The capacity is loaded after the pending transition, so even the
 	// abandoned ticket is counted: capacity only ever over-covers, and
 	// the unfilled cell below it is handled by the poison protocol.
-	if got := seg2.sealPublish(segSize); got != 1 {
+	if got := seg2.sealPublish(); got != 1 {
 		t.Fatalf("capacity = %d, want 1 (enqIdx at publish time)", got)
 	}
-	if cl := seg2.capLimit(segSize); cl != 1 {
+	if cl := seg2.capLimit(); cl != 1 {
 		t.Fatalf("capLimit = %d after publish, want 1", cl)
 	}
 	if t3 := seg2.enqIdx.Add(1) - 1; depositAllowed(seg2, t3) {
@@ -406,7 +406,7 @@ func TestSealTicketInterleavings(t *testing.T) {
 	if !seg3.sealBegin() {
 		t.Fatal("sealBegin lost on a fresh ring")
 	}
-	capacity, won := seg3.seal(segSize)
+	capacity, won := seg3.seal()
 	if won {
 		t.Fatal("helper claimed a seal it did not begin")
 	}
@@ -428,10 +428,10 @@ func TestSealCapacityCoversOpenTickets(t *testing.T) {
 		rounds  = 2000
 		workers = 4
 		perW    = 8
-		segSize = 1 << 20 // never naturally full: isolates the seal
+		segSize = 2 * workers * perW // never naturally full: isolates the seal
 	)
 	for r := 0; r < rounds; r++ {
-		seg := newSegment[int](0) // cells unused; counters and seal only
+		seg := newSegment[int](segSize) // cells unused; counters and seal only
 		var maxDeposited atomic.Int64
 		maxDeposited.Store(-1)
 		var start, done sync.WaitGroup
@@ -456,10 +456,10 @@ func TestSealCapacityCoversOpenTickets(t *testing.T) {
 			}()
 		}
 		start.Done()
-		capacity, _ := seg.seal(segSize)
+		capacity, _ := seg.seal()
 		done.Wait()
 		// seal may have raced the workers; the published value is final.
-		final, _ := seg.seal(segSize)
+		final, _ := seg.seal()
 		if capacity > final {
 			t.Fatalf("round %d: seal reported capacity %d above final %d", r, capacity, final)
 		}

@@ -56,10 +56,19 @@
 #
 #   scripts/bench.sh full results/
 #
+# Smoke mode also gates the topic layer's allocation count: the k=32
+# BenchmarkTopicBatch cycle (produce, consume, ack with no HTTP) must
+# stay at or below 0.25 allocs/msg. With
+# slab-indexed delivery records and batch-sized rings a batch costs 4
+# allocations (0.125/msg); a per-message allocation creeping back in
+# fails the smoke.
+#
 # Both modes write outdir/BENCH_core.txt (verbatim `go test -bench`
 # output) and outdir/BENCH_core.json (benchmark name -> median ns/op
-# and mean allocs/op across the -count repetitions; the median because
-# the full set's short windows catch occasional descheduling spikes). Full mode additionally
+# and mean allocs/op across the -count repetitions, plus the host that
+# measured it: nproc, GOMAXPROCS, Go version, CPU model; the median
+# because the full set's short windows catch occasional descheduling
+# spikes). Full mode additionally
 # writes outdir/BENCH_gate.{txt,json} — the gate family at
 # GATE_BENCHTIME with mean ns/op per name — which is what smoke gates
 # against.
@@ -84,9 +93,11 @@ OUT="${2:-results}"
 # X11: slot acquisition under goroutine counts far above MaxThreads),
 # the sharded-front pairs family (same experiment: routing cost at
 # shards 1 vs 4), the service round trip (one produce→consume→ack cycle
-# through the real HTTP front), and the pure-ALU calibration anchor the
-# parity gate uses to normalize for host-speed drift.
-PATTERN='BenchmarkAdapterOverhead|BenchmarkUncontended|BenchmarkReclaimProtect|BenchmarkSparseRegistration|BenchmarkEnqueueBatch|BenchmarkDequeueBatch|BenchmarkBatchPairs|BenchmarkAutoOversubscribed|BenchmarkShardedPairs|BenchmarkServiceRoundTrip|BenchmarkCalibration'
+# through the real HTTP front), the topic layer alone (the same cycle at
+# k=32 with no HTTP: delivery records, leases and the backend batch
+# ops), and the pure-ALU calibration anchor the parity gate uses to
+# normalize for host-speed drift.
+PATTERN='BenchmarkAdapterOverhead|BenchmarkUncontended|BenchmarkReclaimProtect|BenchmarkSparseRegistration|BenchmarkEnqueueBatch|BenchmarkDequeueBatch|BenchmarkBatchPairs|BenchmarkAutoOversubscribed|BenchmarkShardedPairs|BenchmarkServiceRoundTrip|BenchmarkTopicBatch|BenchmarkCalibration'
 
 # The zero-cost gate family and its fixed measurement window. Baseline
 # (full mode) and gate (smoke mode) MUST use the same benchtime:
@@ -158,7 +169,8 @@ go test -run '^$' -bench "$PATTERN" -benchmem \
 # on a shared 1-CPU host, and a single 20% spike drags a mean while the
 # median shrugs it off. allocs/op stays a mean (it is constant across
 # reps). The gate family keeps its mean — its ~175ms windows are stable.
-awk '
+HOST="nproc=$(nproc 2>/dev/null || echo 1) gomaxprocs=${GOMAXPROCS:-$(nproc 2>/dev/null || echo 1)} $(go env GOVERSION) cpu=$(awk -F': ' '/^model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null | tr -d '"')"
+awk -v host="$HOST" '
 /^Benchmark/ {
 	name = $1
 	allocs = ""
@@ -183,8 +195,8 @@ END {
 		}
 		if (m % 2) med = v[(m + 1) / 2]
 		else med = (v[m / 2] + v[m / 2 + 1]) / 2
-		printf "  \"%s\": {\"ns_per_op\": %.2f, \"allocs_per_op\": %.2f}%s\n", \
-			name, med, suma[name] / cnt[name], (i < n ? "," : "")
+		printf "  \"%s\": {\"ns_per_op\": %.2f, \"allocs_per_op\": %.2f, \"host\": \"%s\"}%s\n", \
+			name, med, suma[name] / cnt[name], host, (i < n ? "," : "")
 	}
 	printf "}\n"
 }
@@ -262,6 +274,29 @@ if [ "$MODE" = smoke ]; then
 	}
 	' "$TXT" || {
 		echo "bench gate: batched round trip lost its amortization edge (BATCH_ALLOC_LIMIT=${BATCH_ALLOC_LIMIT:-20} allocs/msg, BATCH_NS_FRAC=${BATCH_NS_FRAC:-0.2}x single-op)" >&2
+		exit 1
+	}
+
+	# Topic-layer allocation gate: BenchmarkTopicBatch reports per
+	# 32-message cycle, so allocs/op / 32 is allocs per message.
+	echo "==> topic-batch alloc gate (k=32: <= 0.25 allocs/msg)"
+	awk -v alim=0.25 '
+	$1 ~ /^BenchmarkTopicBatch(-[0-9]+)?$/ {
+		for (i = 4; i <= NF; i++) if ($i == "allocs/op") { allocs = $(i - 1) + 0; seen = 1 }
+	}
+	END {
+		if (!seen) {
+			print "  topic gate: missing BenchmarkTopicBatch row" > "/dev/stderr"
+			exit 1
+		}
+		per = allocs / 32
+		ok = (per <= alim)
+		printf "  topic-batch %.1f allocs/op -> %.3f allocs/msg (limit %.2f)   %s\n", \
+			allocs, per, alim, (ok ? "ok" : "REGRESSION")
+		exit !ok
+	}
+	' "$TXT" || {
+		echo "bench gate: topic layer allocates per message again (> 0.25 allocs/msg)" >&2
 		exit 1
 	}
 

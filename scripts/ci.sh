@@ -60,9 +60,13 @@
 #      drain-interaction, and the SvcBatchLease chaos scenario (a
 #      consumer parked with a whole batch of committed leases; every
 #      lease redelivered exactly once, every stale ack refused) under
-#      -race with both the faultpoints and debughandles tags.
+#      -race with both the faultpoints and debughandles tags,
+#  12. the multi-CPU pass: TurnPlus, the sharded front, the service,
+#      Kogan-Petrank, turnalt and the root package under -race at
+#      GOMAXPROCS 1, 2 and 4 (-cpu 1,2,4), so a 1-CPU run
+#      is never the only evidence for the code that runs in production.
 #
-# A change is green only if all eleven pass.
+# A change is green only if all twelve pass.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -128,5 +132,14 @@ echo "==> batched-service gate (batch wire path + SvcBatchLease chaos under -rac
 go test -race -tags "faultpoints debughandles" -timeout 240s \
 	-run 'TestFrameRoundTrips|TestFrameHostilePayloadLength|TestBatch|TestAckBatchStaleTokens|TestQuotaAdmitN|TestQuotaRefundN|TestServiceChaosBatchLeaseRedelivery|TestLeaseTokensGloballyUnique|TestConsumeBatch|TestClientChunksOversizeBatches' \
 	./internal/service ./internal/account
+
+echo "==> multi-CPU pass (-race at GOMAXPROCS 1, 2, 4)"
+# Kogan-Petrank, turnalt and the packages that drive them (the root
+# package, internal/bench) joined once their double-consume bugs were
+# fixed; both failed at every run with more than one CPU before.
+go test -race -cpu 1,2,4 -tags "faultpoints debughandles" -timeout 400s \
+	./internal/turnplus ./internal/sharded ./internal/service \
+	./internal/kpq ./internal/turnalt ./internal/consensus \
+	. ./internal/bench
 
 echo "==> ci green"

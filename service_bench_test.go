@@ -26,7 +26,9 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
 
 	"turnqueue/internal/service"
 )
@@ -150,5 +152,77 @@ func BenchmarkServiceRoundTripBatch(b *testing.B) {
 				b.Fatalf("drain: %v", err)
 			}
 		})
+	}
+}
+
+// BenchmarkTopicBatch prices the topic layer alone — delivery records,
+// leases, and the sharded TurnPlus batch operations — with no HTTP in
+// front: two goroutines each loop ProduceBatch(32 × 64 B) →
+// ConsumeBatch until 32 are back → AckBatch. One op is one such cycle
+// (32 messages); ns/msg and allocs/msg are reported explicitly, and
+// scripts/bench.sh smoke gates allocs/msg.
+func BenchmarkTopicBatch(b *testing.B) {
+	const (
+		k       = 32
+		workers = 2
+	)
+	s, err := service.New(service.Config{Topics: []string{"bench"}, QuotaRate: -1})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	topic := s.Topic("bench")
+	payload := make([]byte, 64)
+	payloads := make([][]byte, k)
+	for i := range payloads {
+		payloads[i] = payload
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		n := b.N / workers
+		if w < b.N%workers {
+			n++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ids := make([]uint64, 0, k)
+			qids := make([]uint64, k)
+			acks := make([]service.AckEntry, 0, k)
+			results := make([]service.AckResult, 0, k)
+			var recv []byte
+			emit := func(id, token uint64, p []byte) {
+				recv = append(recv[:0], p...)
+				acks = append(acks, service.AckEntry{ID: id, Token: token})
+			}
+			for i := 0; i < n; i++ {
+				ids = topic.ProduceBatch("bench", payloads, ids[:0])
+				acks = acks[:0]
+				for len(acks) < k {
+					topic.ConsumeBatch(time.Now(), qids[:k-len(acks)], 0, emit)
+				}
+				results = topic.AckBatch(acks, results[:0])
+				for _, r := range results {
+					if r != service.AckOK {
+						b.Errorf("ack: %v", r)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/msg")
+	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rep, err := s.Drain(dctx)
+	if err != nil {
+		b.Fatalf("drain: %v", err)
+	}
+	if rep.Undelivered["bench"] != 0 || rep.Unacked["bench"] != 0 {
+		b.Fatalf("drain left %d undelivered, %d unacked", rep.Undelivered["bench"], rep.Unacked["bench"])
 	}
 }
