@@ -125,10 +125,11 @@ const (
 	// connection parked here must not hold a queue handle or block any
 	// other tenant's requests.
 	SvcConnStall
-	// SvcConsumerCrash: internal/service, between a successful Dequeue and
-	// the delivery-lease commit/ack — the consumer-crash window. The
-	// redelivery sweeper must return the message exactly once; the chaos
-	// suite's zero-lost/zero-duplicated assertion lives on this point.
+	// SvcConsumerCrash: internal/service, between a consume's successful
+	// DequeueBatch and its first delivery-lease grant — the consumer-crash
+	// window. Every dequeued message must come back exactly once; the
+	// chaos suite's zero-lost/zero-duplicated assertion lives on this
+	// point.
 	SvcConsumerCrash
 	// SvcSlowReader: internal/service, a consume stream whose client reads
 	// slowly — fired per chunk written. A reader parked here holds its

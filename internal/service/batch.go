@@ -1,19 +1,26 @@
 package service
 
-// The batched hot path. The single-op endpoints pay the full HTTP +
-// JSON + admission toll per message; these three endpoints amortize all
-// of it over k messages:
+// The one path behind all six topic endpoints. produce, consume and ack
+// below carry the admission charge, the topic operation and the batch
+// counters; each endpoint pair only decodes its request and encodes its
+// response around them. The frame endpoints amortize the HTTP and
+// admission toll over k messages:
 //
 //	POST /topics/{topic}/produce-batch              frame in → frame of ids
 //	POST /topics/{topic}/consume-batch?max=&wait=   → frame of deliveries | 204
 //	POST /topics/{topic}/ack-batch                  frame in → frame of results
 //
+// and the single-op JSON endpoints (service.go) are the k=1 case of the
+// same calls: produce with one payload, consume with max=1 and no wait,
+// ack with one entry.
+//
 // One breaker sample, one GCRA quota advance (AdmitN: k tokens at one
 // CAS), one connection-cap check, and one reqWG registration admit the
 // whole batch; the topic layer then pays one slab of delivery records
 // and one backend batch op (EnqueueBatch/DequeueBatch) for the k
-// messages, and resolves each id to its record without a lock. Bodies are length-prefixed frames (frame.go) encoded into
-// and decoded out of per-connection pooled buffers, so a steady batched
+// messages, and resolves each id to its record without a lock. Batch
+// bodies are length-prefixed frames (frame.go), decoded out of and
+// encoded into per-connection pooled buffers, so a steady batched
 // workload allocates nothing per message in the handler.
 //
 // Partial admission is first-class: a half-full token bucket admits the
@@ -46,13 +53,13 @@ const (
 	pollRecheck = 25 * time.Millisecond
 )
 
-var errBodyTooLarge = errors.New("batch body too large")
+var errBodyTooLarge = errors.New("body too large")
 
 // bufSet is one request's worth of reusable buffers. Sets are pooled
 // per connection (connState.bufs, via ConnContext) so a busy connection
 // reuses its own right-sized buffers; handlers reached without a
 // ConnContext (direct Handler() use in tests) fall back to a package
-// pool.
+// pool. admit hands one to every topic handler.
 type bufSet struct {
 	body     []byte
 	resp     []byte
@@ -62,19 +69,9 @@ type bufSet struct {
 	results  []AckResult
 }
 
-var bufsFallback = sync.Pool{New: func() any { return new(bufSet) }}
+var bufsFallback = sync.Pool{New: newBufSet}
 
-func (s *Service) bufs(r *http.Request) (*bufSet, func()) {
-	pool := &bufsFallback
-	if cs, _ := r.Context().Value(connKey{}).(*connState); cs != nil {
-		pool = &cs.bufs
-	}
-	b, _ := pool.Get().(*bufSet)
-	if b == nil {
-		b = new(bufSet)
-	}
-	return b, func() { pool.Put(b) }
-}
+func newBufSet() any { return new(bufSet) }
 
 // readBody reads r into buf (reusing its capacity, growing as needed)
 // up to max bytes; a body larger than max is an error, not a silent
@@ -108,49 +105,6 @@ func readBody(r io.Reader, buf []byte, max int) ([]byte, error) {
 		if err != nil {
 			return buf, err
 		}
-	}
-}
-
-// batchAdmitted is admitted()'s batch sibling: tenant validation,
-// draining gate + reqWG registration, and the per-connection cap. The
-// breaker sample and the quota charge are deferred into the handlers —
-// the batch size k is only known after the body (or query) is parsed,
-// and AdmitN needs k.
-func (s *Service) batchAdmitted(h func(http.ResponseWriter, *http.Request, *Topic)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t := s.topics[r.PathValue("topic")]
-		if t == nil {
-			http.Error(w, "unknown topic", http.StatusNotFound)
-			return
-		}
-		if !validTenant(tenantOf(r)) {
-			s.shedTenant.Add(1)
-			http.Error(w, "invalid tenant name", http.StatusBadRequest)
-			return
-		}
-		// Same admitMu discipline as admitted(): the draining check and
-		// the reqWG.Add are one atomic step against Drain.
-		s.admitMu.RLock()
-		if s.draining.Load() {
-			s.admitMu.RUnlock()
-			s.shedDraining.Add(1)
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		s.reqWG.Add(1)
-		s.admitMu.RUnlock()
-		defer s.reqWG.Done()
-		if cs, _ := r.Context().Value(connKey{}).(*connState); cs != nil {
-			if !cs.enter() {
-				s.shedConn.Add(1)
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "connection in-flight cap", http.StatusTooManyRequests)
-				return
-			}
-			defer cs.exit()
-		}
-		h(w, r, t)
 	}
 }
 
@@ -193,16 +147,10 @@ func writeFrame(w http.ResponseWriter, frame []byte) {
 	w.Write(frame)
 }
 
-func (s *Service) handleProduceBatch(w http.ResponseWriter, r *http.Request, t *Topic) {
-	if t.br != nil && !t.br.allow(time.Now()) {
-		s.shedBreaker.Add(1)
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "overloaded: reclamation backlog near bound", http.StatusServiceUnavailable)
-		return
-	}
-	bufs, release := s.bufs(r)
-	defer release()
-	body, err := readBody(r.Body, bufs.body, maxBatchBody)
+// readRequest reads the request body into the pooled body buffer, up to
+// max bytes (413 past it). ok=false means the error answer is written.
+func readRequest(w http.ResponseWriter, r *http.Request, bufs *bufSet, max int) (body []byte, ok bool) {
+	body, err := readBody(r.Body, bufs.body, max)
 	bufs.body = body
 	if err != nil {
 		status := http.StatusBadRequest
@@ -210,59 +158,59 @@ func (s *Service) handleProduceBatch(w http.ResponseWriter, r *http.Request, t *
 			status = http.StatusRequestEntityTooLarge
 		}
 		http.Error(w, "read body: "+err.Error(), status)
-		return
+		return nil, false
 	}
-	payloads, err := parseProduceBatch(body, maxPayload, bufs.payloads[:0])
+	return body, true
+}
+
+// produce is the produce path: breaker sample, body read (at most
+// maxBody bytes), decode into payload views of the body, one quota
+// charge for the batch, and the topic enqueue of the admitted prefix.
+// It returns the admitted messages' ids; ok=false means the error
+// answer is written.
+func (s *Service) produce(w http.ResponseWriter, r *http.Request, t *Topic, bufs *bufSet, maxBody int,
+	decode func(body []byte, into [][]byte) ([][]byte, error)) (ids []uint64, ok bool) {
+	if t.br != nil && !t.br.allow(time.Now()) {
+		s.shedBreaker.Add(1)
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "overloaded: reclamation backlog near bound", http.StatusServiceUnavailable)
+		return nil, false
+	}
+	body, ok := readRequest(w, r, bufs, maxBody)
+	if !ok {
+		return nil, false
+	}
+	payloads, err := decode(body, bufs.payloads[:0])
 	bufs.payloads = payloads
 	if err != nil {
-		http.Error(w, "produce-batch: "+err.Error(), http.StatusBadRequest)
-		return
+		http.Error(w, "produce: "+err.Error(), http.StatusBadRequest)
+		return nil, false
 	}
 	_, m, ok := s.admitBatch(w, r, len(payloads))
 	if !ok {
-		return
+		return nil, false
 	}
 	bufs.ids = t.ProduceBatch(tenantOf(r), payloads[:m], bufs.ids[:0])
 	s.noteBatch(m)
-	bufs.resp = appendIDs(bufs.resp[:0], bufs.ids)
-	writeFrame(w, bufs.resp)
+	return bufs.ids, true
 }
 
-func (s *Service) handleConsumeBatch(w http.ResponseWriter, r *http.Request, t *Topic) {
-	q := r.URL.Query()
-	max := 32
-	if v := q.Get("max"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			http.Error(w, "consume-batch: max must be a positive integer", http.StatusBadRequest)
-			return
-		}
-		max = n
-		if max > maxBatchMsgs {
-			max = maxBatchMsgs
-		}
-	}
-	var wait time.Duration
-	if v := q.Get("wait"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d < 0 {
-			http.Error(w, "consume-batch: wait must be a non-negative duration", http.StatusBadRequest)
-			return
-		}
-		wait = d
-		if wait > maxBatchWait {
-			wait = maxBatchWait
-		}
-	}
+// consume is the consume path: a quota charge for max slots (unfilled
+// slots refunded on every exit), the topic's batch lease, and — when
+// wait > 0 — the long poll. emit receives each granted delivery (see
+// Topic.ConsumeBatch). It returns the number of leases granted; on 0
+// the answer (204, 500 for a simulated consumer crash, or a refusal) is
+// already written.
+func (s *Service) consume(w http.ResponseWriter, r *http.Request, t *Topic, bufs *bufSet, max int, wait time.Duration,
+	emit func(id, token uint64, payload []byte)) (n int) {
 	quota, m, ok := s.admitBatch(w, r, max)
 	if !ok {
-		return
+		return 0
 	}
 	// Slots charged up front (the batch size must be admitted before the
 	// dequeue), unfilled slots refunded on every exit path: an idle
 	// long-poller's empty 204 must not bleed its tenant's bucket dry at
 	// max tokens per poll while producers starve into 429s.
-	n := 0
 	if quota != nil {
 		defer func() {
 			if n < m {
@@ -270,16 +218,10 @@ func (s *Service) handleConsumeBatch(w http.ResponseWriter, r *http.Request, t *
 			}
 		}()
 	}
-	bufs, release := s.bufs(r)
-	defer release()
 	if cap(bufs.ids) < m {
 		bufs.ids = make([]uint64, m)
 	}
 	ids := bufs.ids[:m]
-	bufs.resp = bufs.resp[:0]
-	emit := func(id, token uint64, payload []byte) {
-		bufs.resp = appendDelivery(bufs.resp, id, token, payload)
-	}
 	// respBudget keeps the encoded response (count prefix + deliveries)
 	// within what the client's capped response read will accept: the
 	// topic stops granting leases — never leases what it cannot ship —
@@ -288,9 +230,10 @@ func (s *Service) handleConsumeBatch(w http.ResponseWriter, r *http.Request, t *
 	// Long poll: park on the topic's wake channel instead of spinning
 	// empty round trips, with a short re-check tick so Drain (and a
 	// vanished client) never waits on a parked poller for long.
-	deadline := time.Now().Add(wait)
-	n = t.ConsumeBatch(time.Now(), ids, respBudget, emit)
-	for n == 0 && wait > 0 && !s.draining.Load() && !t.closing.Load() {
+	now := time.Now()
+	deadline := now.Add(wait)
+	n, err := t.consume(now, ids, respBudget, emit)
+	for err == nil && n == 0 && wait > 0 && !s.draining.Load() && !t.closing.Load() {
 		pause := time.Until(deadline)
 		if pause <= 0 {
 			break
@@ -304,18 +247,76 @@ func (s *Service) handleConsumeBatch(w http.ResponseWriter, r *http.Request, t *
 		case <-timer.C:
 		case <-r.Context().Done():
 			timer.Stop()
-			return
+			return 0
 		}
 		timer.Stop()
-		n = t.ConsumeBatch(time.Now(), ids, respBudget, emit)
+		n, err = t.consume(time.Now(), ids, respBudget, emit)
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return 0
 	}
 	s.consumeSlots.Add(int64(m))
 	s.consumeFilled.Add(int64(n))
 	if n == 0 {
 		w.WriteHeader(http.StatusNoContent)
-		return
+		return 0
 	}
 	s.noteBatch(n)
+	return n
+}
+
+// ack is the ack path: one quota charge for the entries and the topic's
+// per-entry CAS for the admitted prefix. ok=false means the refusal is
+// written.
+func (s *Service) ack(w http.ResponseWriter, r *http.Request, t *Topic, bufs *bufSet, entries []AckEntry) (results []AckResult, ok bool) {
+	_, m, ok := s.admitBatch(w, r, len(entries))
+	if !ok {
+		return nil, false
+	}
+	bufs.results = t.AckBatch(entries[:m], bufs.results[:0])
+	s.noteBatch(m)
+	return bufs.results, true
+}
+
+func (s *Service) handleProduceBatch(w http.ResponseWriter, r *http.Request, t *Topic, bufs *bufSet) {
+	ids, ok := s.produce(w, r, t, bufs, maxBatchBody, func(body []byte, into [][]byte) ([][]byte, error) {
+		return parseProduceBatch(body, maxPayload, into)
+	})
+	if !ok {
+		return
+	}
+	bufs.resp = appendIDs(bufs.resp[:0], ids)
+	writeFrame(w, bufs.resp)
+}
+
+func (s *Service) handleConsumeBatch(w http.ResponseWriter, r *http.Request, t *Topic, bufs *bufSet) {
+	q := r.URL.Query()
+	max := 32
+	if v := q.Get("max"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			http.Error(w, "consume-batch: max must be a positive integer", http.StatusBadRequest)
+			return
+		}
+		max = min(n, maxBatchMsgs)
+	}
+	var wait time.Duration
+	if v := q.Get("wait"); v != "" {
+		d, err := time.ParseDuration(v)
+		if err != nil || d < 0 {
+			http.Error(w, "consume-batch: wait must be a non-negative duration", http.StatusBadRequest)
+			return
+		}
+		wait = min(d, maxBatchWait)
+	}
+	bufs.resp = bufs.resp[:0]
+	n := s.consume(w, r, t, bufs, max, wait, func(id, token uint64, payload []byte) {
+		bufs.resp = appendDelivery(bufs.resp, id, token, payload)
+	})
+	if n == 0 {
+		return
+	}
 	// The batch slow-reader window: every lease in the batch is
 	// committed, the response unwritten. A consumer parked here holds k
 	// leases past the shared deadline; the sweeper must redeliver all of
@@ -329,17 +330,9 @@ func (s *Service) handleConsumeBatch(w http.ResponseWriter, r *http.Request, t *
 	w.Write(bufs.resp)
 }
 
-func (s *Service) handleAckBatch(w http.ResponseWriter, r *http.Request, t *Topic) {
-	bufs, release := s.bufs(r)
-	defer release()
-	body, err := readBody(r.Body, bufs.body, maxBatchBody)
-	bufs.body = body
-	if err != nil {
-		status := http.StatusBadRequest
-		if err == errBodyTooLarge {
-			status = http.StatusRequestEntityTooLarge
-		}
-		http.Error(w, "read body: "+err.Error(), status)
+func (s *Service) handleAckBatch(w http.ResponseWriter, r *http.Request, t *Topic, bufs *bufSet) {
+	body, ok := readRequest(w, r, bufs, maxBatchBody)
+	if !ok {
 		return
 	}
 	entries, err := parseAckBatch(body, bufs.acks[:0])
@@ -348,18 +341,17 @@ func (s *Service) handleAckBatch(w http.ResponseWriter, r *http.Request, t *Topi
 		http.Error(w, "ack-batch: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	_, m, ok := s.admitBatch(w, r, len(entries))
+	results, ok := s.ack(w, r, t, bufs, entries)
 	if !ok {
 		return
 	}
-	bufs.results = t.AckBatch(entries[:m], bufs.results[:0])
-	s.noteBatch(m)
-	bufs.resp = appendAckResults(bufs.resp[:0], bufs.results)
+	bufs.resp = appendAckResults(bufs.resp[:0], results)
 	writeFrame(w, bufs.resp)
 }
 
 // noteBatch feeds the batch-size observability counters (the
-// service_batch_size / batch_fill_pct expvars in cmd/queued).
+// service_batch_size / batch_fill_pct expvars in cmd/queued); a
+// single-op request counts as a batch of 1.
 func (s *Service) noteBatch(msgs int) {
 	s.batchBatches.Add(1)
 	s.batchMsgs.Add(int64(msgs))

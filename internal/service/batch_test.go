@@ -109,10 +109,10 @@ func TestLeaseTokensGloballyUnique(t *testing.T) {
 	seen := map[uint64]string{}
 	for _, name := range []string{"a", "b"} {
 		topic := s.Topic(name)
-		topic.Produce("default", []byte(name))
-		d, ok, err := topic.ConsumeOne(time.Now())
-		if err != nil || !ok {
-			t.Fatalf("consume %s: ok=%v err=%v", name, ok, err)
+		produceOne(topic, []byte(name))
+		d, ok := consumeOne(topic, time.Now())
+		if !ok {
+			t.Fatalf("consume %s: topic empty", name)
 		}
 		if prev, dup := seen[d.Token]; dup {
 			t.Fatalf("token %d issued to both topic %s and topic %s", d.Token, prev, name)
@@ -185,31 +185,52 @@ func TestConsumeBatchRespectsResponseBudget(t *testing.T) {
 	}
 }
 
-// TestConsumeBatchRefundsUnfilledSlots: an empty long-poll must not
-// keep the slot tokens it reserved — at 1 token/s refill, ten empty
-// max=32 polls would otherwise burn 320 tokens and starve the same
-// tenant's producers into 429s.
+// TestConsumeBatchRefundsUnfilledSlots: an empty poll must not keep the
+// slot tokens it reserved — at 1 token/s refill, ten empty max=32 polls
+// would otherwise burn 320 tokens and starve the same tenant's
+// producers into 429s. Single-op /consume is the max=1 case of the same
+// path: ten empty ones must leave the bucket full too, so a following
+// burst-sized produce is admitted in one attempt.
 func TestConsumeBatchRefundsUnfilledSlots(t *testing.T) {
-	s := newTestService(t, Config{Topics: []string{"t"}, QuotaRate: 1, QuotaBurst: 64})
-	ts := startServer(t, s)
-	c := &Client{Base: ts.URL, Tenant: "acme", MaxAttempts: 1}
+	const burst = 64
 	ctx := context.Background()
-
-	for i := 0; i < 10; i++ {
-		if ds, err := c.ConsumeBatch(ctx, "t", 32, 0); err != nil || len(ds) != 0 {
-			t.Fatalf("empty poll %d: %d deliveries, err %v", i, len(ds), err)
-		}
-	}
-	payloads := make([][]byte, 32)
-	for i := range payloads {
-		payloads[i] = []byte{byte(i)}
-	}
-	ids, err := c.ProduceBatch(ctx, "t", payloads)
-	if err != nil {
-		t.Fatalf("produce after empty polls: %v (unfilled consume slots never refunded?)", err)
-	}
-	if len(ids) != 32 {
-		t.Fatalf("produce accepted %d of 32 in one attempt", len(ids))
+	for _, tc := range []struct {
+		name string
+		poll func(c *Client) (int, error)
+	}{
+		{"batch", func(c *Client) (int, error) {
+			ds, err := c.ConsumeBatch(ctx, "t", 32, 0)
+			return len(ds), err
+		}},
+		{"single", func(c *Client) (int, error) {
+			d, err := c.Consume(ctx, "t")
+			if d != nil {
+				return 1, err
+			}
+			return 0, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestService(t, Config{Topics: []string{"t"}, QuotaRate: 1, QuotaBurst: burst})
+			ts := startServer(t, s)
+			c := &Client{Base: ts.URL, Tenant: "acme", MaxAttempts: 1}
+			for i := 0; i < 10; i++ {
+				if n, err := tc.poll(c); err != nil || n != 0 {
+					t.Fatalf("empty poll %d: %d deliveries, err %v", i, n, err)
+				}
+			}
+			payloads := make([][]byte, burst)
+			for i := range payloads {
+				payloads[i] = []byte{byte(i)}
+			}
+			ids, err := c.ProduceBatch(ctx, "t", payloads)
+			if err != nil {
+				t.Fatalf("produce after empty polls: %v (unfilled consume slots never refunded?)", err)
+			}
+			if len(ids) != burst {
+				t.Fatalf("produce accepted %d of %d in one attempt", len(ids), burst)
+			}
+		})
 	}
 }
 

@@ -396,6 +396,88 @@ func TestServiceChaosCrashedConsumerExactlyOnce(t *testing.T) {
 	drainOK(t, s)
 }
 
+// TestServiceChaosCrashedBatchConsumer crashes a consume-batch between
+// its DequeueBatch and the first lease grant (SvcConsumerCrash): the
+// request answers 500, refunds every slot it charged, and puts every
+// dequeued id back, so each message is later delivered exactly once.
+func TestServiceChaosCrashedBatchConsumer(t *testing.T) {
+	t.Cleanup(inject.Reset)
+	const k, burst = 8, 2 * 8
+	// Rate 1/s: a tenant's bucket is its burst for the test's duration.
+	// The producer spends k tokens on produce-batch and k on ack-batch;
+	// the consumer's max=burst polls each need the whole bucket, so the
+	// healthy poll after the crash is admitted only if the crash refunded.
+	s := newTestService(t, Config{Topics: []string{"t"}, MaxThreads: 8, QuotaRate: 1, QuotaBurst: burst})
+	ts := startServer(t, s)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	prod := &Client{Base: ts.URL, Tenant: "prod", MaxAttempts: 1}
+	cons := &Client{Base: ts.URL, Tenant: "cons", MaxAttempts: 1}
+
+	payloads := make([][]byte, k)
+	for i := range payloads {
+		payloads[i] = []byte(fmt.Sprintf("crash-%d", i))
+	}
+	ids, err := prod.ProduceBatch(ctx, "t", payloads)
+	if err != nil || len(ids) != k {
+		t.Fatalf("produce-batch: %d ids, err %v", len(ids), err)
+	}
+
+	inject.Arm(inject.SvcConsumerCrash, inject.Crash(1))
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/topics/t/consume-batch?max="+strconv.Itoa(burst), nil)
+	req.Header.Set("X-Tenant", "cons")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("crashed consume-batch: %v", err)
+	}
+	drainClose(resp)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("crashed consume-batch status %d, want 500", resp.StatusCode)
+	}
+	inject.Disarm(inject.SvcConsumerCrash)
+	requeued := s.Topic("t").Stats().Requeued
+	if requeued < 1 || requeued > k {
+		t.Fatalf("requeued = %d, want the crashed batch's dequeued ids (1..%d)", requeued, k)
+	}
+
+	seen := map[uint64]bool{}
+	var acks []AckEntry
+	for len(seen) < k {
+		ds, err := cons.ConsumeBatch(ctx, "t", burst, 0)
+		if err != nil {
+			t.Fatalf("consume-batch after crash: %v (crashed slots never refunded?)", err)
+		}
+		if len(ds) == 0 {
+			t.Fatalf("topic empty with %d of %d delivered: the crash lost messages", len(seen), k)
+		}
+		for _, d := range ds {
+			if seen[d.ID] {
+				t.Fatalf("id %d delivered twice", d.ID)
+			}
+			seen[d.ID] = true
+			acks = append(acks, AckEntry{ID: d.ID, Token: d.Token})
+		}
+	}
+	for _, id := range ids {
+		if !seen[id] {
+			t.Fatalf("produced id %d never delivered", id)
+		}
+	}
+	res, err := prod.AckBatch(ctx, "t", acks)
+	if err != nil {
+		t.Fatalf("ack-batch: %v", err)
+	}
+	for i, r := range res {
+		if r != AckOK {
+			t.Fatalf("ack %d = %v, want AckOK", i, r)
+		}
+	}
+	if st := s.Topic("t").Stats(); st.Acked != k || st.Consumed != k {
+		t.Fatalf("acked/consumed = %d/%d, want %d each (no lease from the crashed batch)", st.Acked, st.Consumed, k)
+	}
+	drainOK(t, s)
+}
+
 func (a *atomic64) add(x int64) int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()

@@ -121,10 +121,6 @@ func (c *Client) httpClient() *http.Client {
 
 // do issues one request with admission retries. The caller owns resp.Body.
 func (c *Client) do(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
-	attempts := c.MaxAttempts
-	if attempts <= 0 {
-		attempts = 8
-	}
 	for attempt := 0; ; attempt++ {
 		req, err := http.NewRequestWithContext(ctx, method, c.Base+path, bytes.NewReader(body))
 		if err != nil {
@@ -140,22 +136,23 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte) (*htt
 		if resp.StatusCode != http.StatusTooManyRequests && resp.StatusCode != http.StatusServiceUnavailable {
 			return resp, nil
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if attempt+1 >= attempts {
+		drainClose(resp)
+		if attempt+1 >= c.maxAttempts() {
 			return nil, fmt.Errorf("%w (last status %d)", ErrShed, resp.StatusCode)
 		}
-		var retryAfter time.Duration
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-		c.Retries++
-		select {
-		case <-time.After(c.Backoff.Delay(attempt, retryAfter)):
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		if err := c.sleep(ctx, attempt, retryAfterOf(resp)); err != nil {
+			return nil, err
 		}
 	}
+}
+
+// retryAfterOf reads the server's Retry-After seconds (0 when absent).
+func retryAfterOf(resp *http.Response) time.Duration {
+	secs, err := strconv.Atoi(resp.Header.Get("Retry-After"))
+	if err != nil {
+		return 0
+	}
+	return time.Duration(secs) * time.Second
 }
 
 // Produce enqueues payload on topic and returns the assigned message id.
@@ -177,8 +174,13 @@ func (c *Client) Produce(ctx context.Context, topic string, payload []byte) (uin
 	return out.ID, nil
 }
 
-// Delivery is one consumed message; Ack it with ID and Token.
-type Delivery = deliveryBody
+// Delivery is one consumed message (the /consume response body); Ack it
+// with ID and Token.
+type Delivery struct {
+	ID      uint64 `json:"id"`
+	Token   uint64 `json:"token"`
+	Payload []byte `json:"payload"`
+}
 
 // Consume leases one message from topic. A nil Delivery with nil error
 // means the topic is currently empty.
@@ -244,10 +246,7 @@ func (c *Client) postFrame(ctx context.Context, path string, reqBody, buf []byte
 	if err != nil {
 		return 0, 0, body, fmt.Errorf("read response: %w", err)
 	}
-	if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil {
-		retryAfter = time.Duration(secs) * time.Second
-	}
-	return resp.StatusCode, retryAfter, body, nil
+	return resp.StatusCode, retryAfterOf(resp), body, nil
 }
 
 // sleep waits out one backoff delay (counting it in Retries) or bails
@@ -280,38 +279,44 @@ func (c *Client) maxAttempts() int {
 // ids accepted so far are returned with the error — those messages ARE
 // in the queue.
 func (c *Client) ProduceBatch(ctx context.Context, topic string, payloads [][]byte) ([]uint64, error) {
-	ids := make([]uint64, 0, len(payloads))
+	return postChunks(ctx, c, "produce-batch", "/topics/"+topic+"/produce-batch",
+		payloads, make([]uint64, 0, len(payloads)), appendProduceBatch, parseIDs)
+}
+
+// postChunks sends items in frames of at most maxBatchMsgs and appends
+// each frame's decoded answers to out — one answer per accepted item, in
+// order. A frame answered in full resets the retry budget; a partial
+// answer, 429 or 503 backs off and re-sends the unanswered suffix.
+func postChunks[E, R any](ctx context.Context, c *Client, op, path string, items []E, out []R,
+	encode func([]byte, []E) []byte, decode func([]byte, []R) ([]R, error)) ([]R, error) {
 	bufs, release := c.getBufs()
 	defer release()
-	remaining := payloads
+	remaining := items
 	for attempt := 0; ; attempt++ {
-		chunk := remaining
-		if len(chunk) > maxBatchMsgs {
-			chunk = chunk[:maxBatchMsgs]
-		}
-		bufs.req = appendProduceBatch(bufs.req[:0], chunk)
-		status, retryAfter, body, err := c.postFrame(ctx, "/topics/"+topic+"/produce-batch", bufs.req, bufs.resp)
+		chunk := remaining[:min(len(remaining), maxBatchMsgs)]
+		bufs.req = encode(bufs.req[:0], chunk)
+		status, retryAfter, body, err := c.postFrame(ctx, path, bufs.req, bufs.resp)
 		bufs.resp = body
 		if err != nil {
-			return ids, fmt.Errorf("produce-batch: %w", err)
+			return out, fmt.Errorf("%s: %w", op, err)
 		}
 		switch status {
 		case http.StatusOK:
-			before := len(ids)
-			ids, err = parseIDs(body, ids)
+			before := len(out)
+			out, err = decode(body, out)
 			if err != nil {
-				return ids, fmt.Errorf("produce-batch: decode: %w", err)
+				return out, fmt.Errorf("%s: decode: %w", op, err)
 			}
-			accepted := len(ids) - before
-			if accepted > len(chunk) {
-				return ids, fmt.Errorf("produce-batch: server accepted %d of %d", accepted, len(chunk))
+			done := len(out) - before
+			if done > len(chunk) {
+				return out, fmt.Errorf("%s: server answered %d of %d", op, done, len(chunk))
 			}
-			remaining = remaining[accepted:]
+			remaining = remaining[done:]
 			if len(remaining) == 0 {
-				return ids, nil
+				return out, nil
 			}
-			if accepted == len(chunk) {
-				attempt = -1 // full chunk landed: next chunk starts fresh
+			if done == len(chunk) {
+				attempt = -1 // full chunk answered: next chunk starts fresh
 				continue
 			}
 			// Partial acceptance: not a failure, but the suffix still
@@ -319,14 +324,14 @@ func (c *Client) ProduceBatch(ctx context.Context, topic string, payloads [][]by
 		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
 			// fall through to the shared backoff below
 		default:
-			return ids, fmt.Errorf("produce-batch: unexpected status %d", status)
+			return out, fmt.Errorf("%s: unexpected status %d", op, status)
 		}
 		if attempt+1 >= c.maxAttempts() {
-			return ids, fmt.Errorf("%w (last status %d, %d of %d accepted)",
-				ErrShed, status, len(ids), len(payloads))
+			return out, fmt.Errorf("%w (last status %d, %d of %d answered)",
+				ErrShed, status, len(items)-len(remaining), len(items))
 		}
 		if err := c.sleep(ctx, attempt, retryAfter); err != nil {
-			return ids, err
+			return out, err
 		}
 	}
 }
@@ -377,53 +382,8 @@ func (c *Client) ConsumeBatch(ctx context.Context, topic string, max int, wait t
 // a partially admitted batch is completed across retries; per-delivery
 // conflicts (stale tokens) are reported in the results, not as an error.
 func (c *Client) AckBatch(ctx context.Context, topic string, entries []AckEntry) ([]AckResult, error) {
-	results := make([]AckResult, 0, len(entries))
-	bufs, release := c.getBufs()
-	defer release()
-	remaining := entries
-	for attempt := 0; ; attempt++ {
-		chunk := remaining
-		if len(chunk) > maxBatchMsgs {
-			chunk = chunk[:maxBatchMsgs]
-		}
-		bufs.req = appendAckBatch(bufs.req[:0], chunk)
-		status, retryAfter, body, err := c.postFrame(ctx, "/topics/"+topic+"/ack-batch", bufs.req, bufs.resp)
-		bufs.resp = body
-		if err != nil {
-			return results, fmt.Errorf("ack-batch: %w", err)
-		}
-		switch status {
-		case http.StatusOK:
-			before := len(results)
-			results, err = parseAckResults(body, results)
-			if err != nil {
-				return results, fmt.Errorf("ack-batch: decode: %w", err)
-			}
-			done := len(results) - before
-			if done > len(chunk) {
-				return results, fmt.Errorf("ack-batch: server resolved %d of %d", done, len(chunk))
-			}
-			remaining = remaining[done:]
-			if len(remaining) == 0 {
-				return results, nil
-			}
-			if done == len(chunk) {
-				attempt = -1 // full chunk resolved: next chunk starts fresh
-				continue
-			}
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			// fall through to the shared backoff below
-		default:
-			return results, fmt.Errorf("ack-batch: unexpected status %d", status)
-		}
-		if attempt+1 >= c.maxAttempts() {
-			return results, fmt.Errorf("%w (last status %d, %d of %d resolved)",
-				ErrShed, status, len(results), len(entries))
-		}
-		if err := c.sleep(ctx, attempt, retryAfter); err != nil {
-			return results, err
-		}
-	}
+	return postChunks(ctx, c, "ack-batch", "/topics/"+topic+"/ack-batch",
+		entries, make([]AckResult, 0, len(entries)), appendAckBatch, parseAckResults)
 }
 
 func drainClose(resp *http.Response) {

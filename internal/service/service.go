@@ -20,9 +20,10 @@
 //     ownership (see topic.go).
 //
 // Admission is layered, cheapest check first: tenant-name validation,
-// draining flag, breaker (produce only), per-tenant token-bucket quota
-// (429 + Retry-After, bounded tenant registry), per-connection
-// in-flight cap. Graceful shutdown (Drain) stops
+// draining flag, per-connection in-flight cap, then — once the request
+// says how many messages it carries — breaker (produce only) and the
+// per-tenant token-bucket quota (429 + Retry-After, bounded tenant
+// registry). Graceful shutdown (Drain) stops
 // admitting, serves what is in flight, parks the sweepers, drains the
 // backends, and ends with VerifyQuiescent on every topic — the same
 // post-shutdown accounting gate every other harness in the repository
@@ -34,7 +35,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -132,8 +132,8 @@ type Service struct {
 	topics  map[string]*Topic
 	tenants *account.Tenants
 
-	// admitMu makes the draining check and the reqWG.Add in admitted()
-	// one atomic step against Drain's draining.Swap: without it a
+	// admitMu makes the draining check and the reqWG.Add in admit() one
+	// atomic step against Drain's draining.Swap: without it a
 	// request could pass the check, lose the CPU, and call Add after
 	// Drain's reqWG.Wait already returned (documented WaitGroup misuse)
 	// — running its queue operation concurrently with the drain loop.
@@ -150,8 +150,8 @@ type Service struct {
 	shedBreaker  atomic.Int64
 	shedTenant   atomic.Int64 // invalid tenant names + registry-cap refusals
 
-	// Batch observability: batches/messages admitted through the batch
-	// endpoints, and consume-batch slot fill (requested vs delivered).
+	// Batch observability: batches/messages admitted (a single-op request
+	// is a batch of 1), and consume slot fill (requested vs delivered).
 	batchBatches  atomic.Int64
 	batchMsgs     atomic.Int64
 	consumeSlots  atomic.Int64
@@ -269,7 +269,9 @@ func (s *Service) ConnContext(ctx context.Context, _ net.Conn) context.Context {
 	if max < 0 {
 		max = 0 // disabled
 	}
-	return context.WithValue(ctx, connKey{}, &connState{max: max})
+	cs := &connState{max: max}
+	cs.bufs.New = newBufSet
+	return context.WithValue(ctx, connKey{}, cs)
 }
 
 // Handler returns the service's HTTP surface:
@@ -283,16 +285,20 @@ func (s *Service) ConnContext(ctx context.Context, _ net.Conn) context.Context {
 //	GET  /stats                                          → per-topic + tenant counters
 //	GET  /healthz                                        → 200 | 503 while draining
 //
+// The single-op JSON endpoints are the k=1 case of the batch path: each
+// pair of handlers decodes and encodes its own wire format around one
+// shared produce, consume or ack (batch.go).
+//
 // The tenant is the X-Tenant header (default "default"); names longer
 // than 64 bytes or outside [A-Za-z0-9._-] are refused with 400.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /topics/{topic}/produce", s.admitted(true, s.handleProduce))
-	mux.HandleFunc("POST /topics/{topic}/consume", s.admitted(false, s.handleConsume))
-	mux.HandleFunc("POST /topics/{topic}/ack", s.admitted(false, s.handleAck))
-	mux.HandleFunc("POST /topics/{topic}/produce-batch", s.batchAdmitted(s.handleProduceBatch))
-	mux.HandleFunc("POST /topics/{topic}/consume-batch", s.batchAdmitted(s.handleConsumeBatch))
-	mux.HandleFunc("POST /topics/{topic}/ack-batch", s.batchAdmitted(s.handleAckBatch))
+	mux.HandleFunc("POST /topics/{topic}/produce", s.admit(s.handleProduce))
+	mux.HandleFunc("POST /topics/{topic}/consume", s.admit(s.handleConsume))
+	mux.HandleFunc("POST /topics/{topic}/ack", s.admit(s.handleAck))
+	mux.HandleFunc("POST /topics/{topic}/produce-batch", s.admit(s.handleProduceBatch))
+	mux.HandleFunc("POST /topics/{topic}/consume-batch", s.admit(s.handleConsumeBatch))
+	mux.HandleFunc("POST /topics/{topic}/ack-batch", s.admit(s.handleAckBatch))
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		if s.draining.Load() {
@@ -304,19 +310,21 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-// admitted wraps a topic handler with the admission pipeline, cheapest
-// rejection first: tenant-name validation, draining, breaker (produce
-// only), tenant quota, per-connection cap. Requests past the draining
-// gate are tracked on reqWG so Drain can wait them out.
-func (s *Service) admitted(produce bool, h func(http.ResponseWriter, *http.Request, *Topic)) http.HandlerFunc {
+// admit wraps a topic handler with the per-request admission steps,
+// cheapest rejection first: tenant-name validation, the draining gate
+// (requests past it are tracked on reqWG so Drain can wait them out),
+// and the per-connection cap. It hands the handler a pooled buffer set.
+// The breaker sample and the quota charge happen in the shared paths
+// (batch.go): the message count is only known once the body or query is
+// parsed, and AdmitN needs it.
+func (s *Service) admit(h func(http.ResponseWriter, *http.Request, *Topic, *bufSet)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		t := s.topics[r.PathValue("topic")]
 		if t == nil {
 			http.Error(w, "unknown topic", http.StatusNotFound)
 			return
 		}
-		tenant := tenantOf(r)
-		if !validTenant(tenant) {
+		if !validTenant(tenantOf(r)) {
 			s.shedTenant.Add(1)
 			http.Error(w, "invalid tenant name", http.StatusBadRequest)
 			return
@@ -334,27 +342,7 @@ func (s *Service) admitted(produce bool, h func(http.ResponseWriter, *http.Reque
 		s.reqWG.Add(1)
 		s.admitMu.RUnlock()
 		defer s.reqWG.Done()
-		if produce && t.br != nil && !t.br.allow(time.Now()) {
-			s.shedBreaker.Add(1)
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "overloaded: reclamation backlog near bound", http.StatusServiceUnavailable)
-			return
-		}
-		if s.tenants != nil {
-			q, known := s.tenants.Get(tenant)
-			if !known {
-				s.shedTenant.Add(1)
-				w.Header().Set("Retry-After", "1")
-				http.Error(w, "tenant registry full", http.StatusTooManyRequests)
-				return
-			}
-			if ok, retry := q.Admit(time.Now()); !ok {
-				s.shedQuota.Add(1)
-				w.Header().Set("Retry-After", retryAfterSeconds(retry))
-				http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
-				return
-			}
-		}
+		pool := &bufsFallback
 		if cs, _ := r.Context().Value(connKey{}).(*connState); cs != nil {
 			if !cs.enter() {
 				s.shedConn.Add(1)
@@ -363,8 +351,11 @@ func (s *Service) admitted(produce bool, h func(http.ResponseWriter, *http.Reque
 				return
 			}
 			defer cs.exit()
+			pool = &cs.bufs
 		}
-		h(w, r, t)
+		b := pool.Get().(*bufSet)
+		defer pool.Put(b)
+		h(w, r, t, b)
 	}
 }
 
@@ -407,39 +398,25 @@ func retryAfterSeconds(d time.Duration) string {
 
 const maxPayload = 1 << 20
 
-func (s *Service) handleProduce(w http.ResponseWriter, r *http.Request, t *Topic) {
-	payload, err := io.ReadAll(io.LimitReader(r.Body, maxPayload+1))
-	if err != nil {
-		http.Error(w, "read body: "+err.Error(), http.StatusBadRequest)
+func (s *Service) handleProduce(w http.ResponseWriter, r *http.Request, t *Topic, bufs *bufSet) {
+	ids, ok := s.produce(w, r, t, bufs, maxPayload, func(body []byte, into [][]byte) ([][]byte, error) {
+		return append(into, body), nil
+	})
+	if !ok {
 		return
 	}
-	if len(payload) > maxPayload {
-		http.Error(w, "payload too large", http.StatusRequestEntityTooLarge)
-		return
-	}
-	id := t.Produce(tenantOf(r), payload)
 	// The admitted-but-unwritten window: a connection parked here holds
 	// no queue handle and no lease — only its own goroutine.
 	inject.Fire(inject.SvcConnStall)
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]uint64{"id": id})
+	json.NewEncoder(w).Encode(map[string]uint64{"id": ids[0]})
 }
 
-// deliveryBody is the consume response (and the client's Delivery).
-type deliveryBody struct {
-	ID      uint64 `json:"id"`
-	Token   uint64 `json:"token"`
-	Payload []byte `json:"payload"`
-}
-
-func (s *Service) handleConsume(w http.ResponseWriter, r *http.Request, t *Topic) {
-	d, ok, crashed := t.ConsumeOne(time.Now())
-	if crashed != nil {
-		http.Error(w, crashed.Error(), http.StatusInternalServerError)
-		return
-	}
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
+func (s *Service) handleConsume(w http.ResponseWriter, r *http.Request, t *Topic, bufs *bufSet) {
+	var d Delivery
+	if s.consume(w, r, t, bufs, 1, 0, func(id, token uint64, payload []byte) {
+		d = Delivery{ID: id, Token: token, Payload: append([]byte(nil), payload...)}
+	}) == 0 {
 		return
 	}
 	body, _ := json.Marshal(d)
@@ -452,14 +429,18 @@ func (s *Service) handleConsume(w http.ResponseWriter, r *http.Request, t *Topic
 	w.Write(body)
 }
 
-func (s *Service) handleAck(w http.ResponseWriter, r *http.Request, t *Topic) {
+func (s *Service) handleAck(w http.ResponseWriter, r *http.Request, t *Topic, bufs *bufSet) {
 	id, err1 := strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
 	token, err2 := strconv.ParseUint(r.URL.Query().Get("token"), 10, 64)
 	if err1 != nil || err2 != nil {
 		http.Error(w, "ack needs numeric id and token", http.StatusBadRequest)
 		return
 	}
-	switch t.Ack(id, token) {
+	results, ok := s.ack(w, r, t, bufs, append(bufs.acks[:0], AckEntry{ID: id, Token: token}))
+	if !ok {
+		return
+	}
+	switch results[0] {
 	case AckOK:
 		w.WriteHeader(http.StatusOK)
 	case AckConflict:
@@ -480,9 +461,10 @@ type Stats struct {
 	ShedBreaker  int64                 `json:"shed_breaker"`
 	ShedTenant   int64                 `json:"shed_tenant"`
 
-	// Batch-endpoint counters: BatchMsgs/BatchBatches is the average
-	// admitted batch size; ConsumeFilled/ConsumeSlots the consume-batch
-	// fill ratio (delivered vs requested slots).
+	// Batch counters, single-op requests counted as batches of 1:
+	// BatchMsgs/BatchBatches is the average admitted batch size;
+	// ConsumeFilled/ConsumeSlots the consume fill ratio (delivered vs
+	// requested slots).
 	BatchBatches  int64 `json:"batch_batches"`
 	BatchMsgs     int64 `json:"batch_msgs"`
 	ConsumeSlots  int64 `json:"batch_consume_slots"`
@@ -556,7 +538,7 @@ func (s *Service) Drain(ctx context.Context) (DrainReport, error) {
 		Undelivered: make(map[string]int, len(s.topics)),
 		Unacked:     make(map[string]int, len(s.topics)),
 	}
-	// The write lock pairs with admitted()'s read-locked check+Add: once
+	// The write lock pairs with admit()'s read-locked check+Add: once
 	// Swap returns, every request that will ever touch reqWG is already
 	// registered, so the Wait below cannot race an Add.
 	s.admitMu.Lock()

@@ -202,10 +202,10 @@ func TestRedelivery(t *testing.T) {
 	topic := s.Topic("t")
 	now := time.Unix(2000, 0)
 
-	topic.Produce("a", []byte("payload"))
-	d1, ok, err := topic.ConsumeOne(now)
-	if err != nil || !ok {
-		t.Fatalf("consume: ok=%v err=%v", ok, err)
+	produceOne(topic, []byte("payload"))
+	d1, ok := consumeOne(topic, now)
+	if !ok {
+		t.Fatal("consume: topic empty")
 	}
 
 	// Before the deadline the sweeper must not touch it.
@@ -222,13 +222,13 @@ func TestRedelivery(t *testing.T) {
 	}
 
 	// The crashed consumer's late ack must not count.
-	if res := topic.Ack(d1.ID, d1.Token); res != AckConflict {
+	if res := ackOne(topic, d1.ID, d1.Token); res != AckConflict {
 		t.Fatalf("stale ack = %v, want AckConflict", res)
 	}
 
-	d2, ok, err := topic.ConsumeOne(late)
-	if err != nil || !ok {
-		t.Fatalf("re-consume: ok=%v err=%v", ok, err)
+	d2, ok := consumeOne(topic, late)
+	if !ok {
+		t.Fatal("re-consume: topic empty")
 	}
 	if d2.ID != d1.ID {
 		t.Fatalf("redelivered id %d, want original %d", d2.ID, d1.ID)
@@ -239,10 +239,10 @@ func TestRedelivery(t *testing.T) {
 	if string(d2.Payload) != "payload" {
 		t.Fatalf("payload corrupted across redelivery: %q", d2.Payload)
 	}
-	if res := topic.Ack(d2.ID, d2.Token); res != AckOK {
+	if res := ackOne(topic, d2.ID, d2.Token); res != AckOK {
 		t.Fatalf("fresh ack = %v, want AckOK", res)
 	}
-	if res := topic.Ack(d2.ID, d2.Token); res != AckUnknown {
+	if res := ackOne(topic, d2.ID, d2.Token); res != AckUnknown {
 		t.Fatalf("double ack = %v, want AckUnknown (record removed)", res)
 	}
 	if st := topic.Stats(); st.Redelivered != 1 || st.Acked != 1 || st.Conflicts != 1 {
@@ -256,9 +256,9 @@ func TestAckBeatsSweeper(t *testing.T) {
 	s := newTestService(t, Config{Topics: []string{"t"}, Lease: 10 * time.Millisecond})
 	topic := s.Topic("t")
 	now := time.Unix(2000, 0)
-	topic.Produce("a", []byte("x"))
-	d, _, _ := topic.ConsumeOne(now)
-	if res := topic.Ack(d.ID, d.Token); res != AckOK {
+	produceOne(topic, []byte("x"))
+	d, _ := consumeOne(topic, now)
+	if res := ackOne(topic, d.ID, d.Token); res != AckOK {
 		t.Fatalf("ack = %v", res)
 	}
 	if n := topic.sweep(now.Add(time.Hour)); n != 0 {
@@ -310,10 +310,10 @@ func TestDrainReportsUnacked(t *testing.T) {
 	s := newTestService(t, Config{Topics: []string{"t"}})
 	topic := s.Topic("t")
 	now := time.Unix(2000, 0)
-	topic.Produce("a", []byte("kept"))
-	topic.Produce("a", []byte("left queued"))
-	if _, ok, err := topic.ConsumeOne(now); !ok || err != nil {
-		t.Fatalf("consume: ok=%v err=%v", ok, err)
+	produceOne(topic, []byte("kept"))
+	produceOne(topic, []byte("left queued"))
+	if _, ok := consumeOne(topic, now); !ok {
+		t.Fatal("consume: topic empty")
 	}
 	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -333,13 +333,13 @@ func TestAckDuringClose(t *testing.T) {
 	s := newTestService(t, Config{Topics: []string{"t"}, Lease: 10 * time.Millisecond})
 	topic := s.Topic("t")
 	now := time.Unix(2000, 0)
-	topic.Produce("a", []byte("x"))
-	d, _, _ := topic.ConsumeOne(now)
+	produceOne(topic, []byte("x"))
+	d, _ := consumeOne(topic, now)
 	topic.closing.Store(true)
 	if n := topic.sweep(now.Add(time.Hour)); n != 0 {
 		t.Fatalf("closing sweep redelivered %d, want 0", n)
 	}
-	if res := topic.Ack(d.ID, d.Token); res != AckOK {
+	if res := ackOne(topic, d.ID, d.Token); res != AckOK {
 		t.Fatalf("ack while closing = %v, want AckOK", res)
 	}
 }

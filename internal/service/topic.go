@@ -36,7 +36,7 @@ func seqOf(w uint64) uint64         { return w & seqMask }
 // only the message id; payload and lease state live here, in the
 // topic's slab directory, which the sweeper scans. All transitions are
 // single CASes on word, which is what makes the ack-vs-redeliver race
-// safe: exactly one of the consumer's Ack and the sweeper's claim wins
+// safe: exactly one of the consumer's ack and the sweeper's claim wins
 // the leased word.
 type delivery struct {
 	// payload aliases the owning slab's buffer. Only the dequeuer of the
@@ -82,7 +82,7 @@ const (
 // compare just before the bump can still reach the record; what it can
 // do there is harmless:
 //
-//   - Ack and the sweeper act only through a CAS keyed on leased|token,
+//   - acks and the sweeper act only through a CAS keyed on leased|token,
 //     and lease tokens come from one process-global counter (leaseSeq),
 //     so a token names one lease in the process's history and a stale
 //     CAS never matches a recycled record;
@@ -145,7 +145,7 @@ type Topic struct {
 
 	// closing gates the sweeper's redelivery: once set, sweep stops
 	// claiming expired leases — they stay leased for Drain to report as
-	// unacked, and a shutdown-window Ack is never spuriously refused by
+	// unacked, and a shutdown-window ack is never spuriously refused by
 	// a claim that would only be put back.
 	closing atomic.Bool
 
@@ -304,27 +304,17 @@ func (t *Topic) notify() {
 	}
 }
 
-// Produce registers one message in a single-record slab and enqueues its
-// id on the wait-free backend. It uses the single-op Enqueue, not a k=1
-// EnqueueBatch: a batch enqueue seals the tail ring and announces a ring
-// of its own, which per message would turn every produce into a slow
-// path and multiply the rings the reclaimer must retire. The payload is
-// copied; the tenant is charged at admission and not retained.
-func (t *Topic) Produce(tenant string, payload []byte) uint64 {
-	var one [1]uint64
-	id := t.getSlab([][]byte{payload}, one[:0])[0]
-	t.q.Enqueue(id)
-	t.produced.Add(1)
-	t.notify()
-	return id
-}
-
 // ProduceBatch registers and enqueues k payloads as one batch: one slab
 // per chunkRecs messages (payload bytes are copied into the slab's buffer,
 // so the caller's payload views may alias a transient request buffer)
 // and one EnqueueBatch on the wait-free backend, which installs the
-// whole chain at a single CAS. The assigned ids are appended to ids and
-// returned. The tenant is charged at admission and not retained.
+// whole chain at a single CAS. One message takes the single-op Enqueue
+// instead: a k=1 EnqueueBatch seals the tail ring and announces a ring
+// of its own, which per message turns every produce into a slow path
+// and multiplies the rings the reclaimer must retire (it broke the
+// parked-reader backlog bound when tried). The assigned ids are
+// appended to ids and returned. The tenant is charged at admission and
+// not retained.
 func (t *Topic) ProduceBatch(tenant string, payloads [][]byte, ids []uint64) []uint64 {
 	k := len(payloads)
 	if k == 0 {
@@ -334,47 +324,18 @@ func (t *Topic) ProduceBatch(tenant string, payloads [][]byte, ids []uint64) []u
 	for off := 0; off < k; off += chunkRecs {
 		ids = t.getSlab(payloads[off:min(off+chunkRecs, k)], ids)
 	}
-	t.q.EnqueueBatch(ids[start:])
+	if k == 1 {
+		t.q.Enqueue(ids[start])
+	} else {
+		t.q.EnqueueBatch(ids[start:])
+	}
 	t.produced.Add(int64(k))
 	t.notify()
 	return ids
 }
 
-// ConsumeOne dequeues one message and leases it to the caller until
-// now+lease. ok=false means the topic is empty. The delivery's payload
-// is a private copy; its token must accompany the Ack.
-//
-// The SvcConsumerCrash fault point sits in the window between Dequeue
-// and the lease commit — the id is out of the queue but no lease exists
-// yet. A crash there is recovered here and the id re-enqueued, so the
-// message is never lost; crashed reports that the caller's goroutine
-// was the simulated victim (the handler answers 500 and the client
-// retries).
-func (t *Topic) ConsumeOne(now time.Time) (d Delivery, ok bool, crashed error) {
-	for {
-		qid, got := t.q.Dequeue()
-		if !got {
-			return Delivery{}, false, nil
-		}
-		if err := t.leaseCrashWindow(qid); err != nil {
-			return Delivery{}, false, err
-		}
-		_, rec := t.lookup(qid)
-		if rec == nil || stateOf(rec.word.Load()) != statePending {
-			// Unreachable: the queue holds only ids of pending records.
-			// Taking the next message beats failing the request.
-			continue
-		}
-		d = Delivery{ID: qid, Token: leaseSeq.Add(1)}
-		d.Payload = append([]byte(nil), rec.payload...)
-		rec.grant(d.Token, now.Add(t.lease).UnixNano())
-		t.consumed.Add(1)
-		return d, true, nil
-	}
-}
-
 // grant publishes a lease on a pending record its caller dequeued. A
-// pending word changes only under its one dequeuer — Ack and the sweeper
+// pending word changes only under its one dequeuer — acks and the sweeper
 // act on leased words alone — so a plain store publishes the lease.
 // Deadline first: the sweeper reads (word, deadline) in that order and
 // must never see the new lease with the old expiry. Once the lease is
@@ -401,6 +362,11 @@ const deliveryWireOverhead = 30
 // to its record by arithmetic. Returns the number of leases granted (==
 // emit calls).
 //
+// The SvcConsumerCrash fault point sits between the dequeue and the
+// first grant: the ids are out of the queue but no lease exists yet. A
+// crash there puts every dequeued id back (see crashWindow) and
+// ConsumeBatch returns 0; the handlers, which call consume, answer 500.
+//
 // maxBytes bounds the summed payload + per-delivery overhead of the
 // granted leases: once the next record would push past it, the grant
 // loop stops and re-enqueues every remaining dequeued id, un-leased —
@@ -412,9 +378,20 @@ const deliveryWireOverhead = 30
 // trading FIFO position for never over-committing. maxBytes <= 0 means
 // unbounded.
 func (t *Topic) ConsumeBatch(now time.Time, ids []uint64, maxBytes int, emit func(id, token uint64, payload []byte)) int {
+	n, _ := t.consume(now, ids, maxBytes, emit)
+	return n
+}
+
+// consume is ConsumeBatch with the simulated crash reported.
+func (t *Topic) consume(now time.Time, ids []uint64, maxBytes int, emit func(id, token uint64, payload []byte)) (int, error) {
 	n := t.q.DequeueBatch(ids)
 	if n == 0 {
-		return 0
+		return 0, nil
+	}
+	if inject.Enabled {
+		if err := t.crashWindow(ids[:n]); err != nil {
+			return 0, err
+		}
 	}
 	deadline := now.Add(t.lease).UnixNano()
 	// One reservation covers the batch's tokens; any left unused are
@@ -425,7 +402,9 @@ func (t *Topic) ConsumeBatch(now time.Time, ids []uint64, maxBytes int, emit fun
 	for i, qid := range ids[:n] {
 		_, rec := t.lookup(qid)
 		if rec == nil || stateOf(rec.word.Load()) != statePending {
-			continue // unreachable, as in ConsumeOne
+			// Unreachable: the queue holds only ids of pending records.
+			// Skipping it beats failing the request.
+			continue
 		}
 		if sz := len(rec.payload) + deliveryWireOverhead; maxBytes > 0 && granted > 0 && used+sz > maxBytes {
 			// Response budget exhausted: put the rest back, still pending.
@@ -444,21 +423,25 @@ func (t *Topic) ConsumeBatch(now time.Time, ids []uint64, maxBytes int, emit fun
 	if requeued {
 		t.notify() // the suffix is news to any parked long-poller
 	}
-	return granted
+	return granted, nil
 }
 
-// leaseCrashWindow hosts the SvcConsumerCrash fault point so a simulated
-// crash unwinds only this frame: the deferred recover puts the dequeued
-// id back on the queue (zero loss) and surfaces the crash as an error.
-func (t *Topic) leaseCrashWindow(id uint64) (err error) {
+// crashWindow hosts the SvcConsumerCrash fault point so a simulated
+// crash unwinds only this frame: the deferred recover puts every
+// dequeued id back on the queue with single-op Enqueues (zero loss; see
+// ProduceBatch on k=1 batches) and surfaces the crash as an error.
+func (t *Topic) crashWindow(ids []uint64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			ce, isCrash := r.(inject.CrashError)
 			if !isCrash {
 				panic(r)
 			}
-			t.q.Enqueue(id)
-			t.requeued.Add(1)
+			for _, id := range ids {
+				t.q.Enqueue(id)
+			}
+			t.requeued.Add(int64(len(ids)))
+			t.notify()
 			err = ce
 		}
 	}()
@@ -466,28 +449,14 @@ func (t *Topic) leaseCrashWindow(id uint64) (err error) {
 	return nil
 }
 
-// Ack confirms delivery (id, token). It succeeds only while the exact
-// lease named by token is still open: one CAS from leased|token to
-// acked|token. A late ack — the lease expired and the sweeper reclaimed
-// the message — finds the word moved on (reclaiming, pending with the
-// same seq, or a later lease) and is refused, which is what makes
-// redelivery exactly-once: either the consumer's ack or the sweeper's
-// claim wins the word, never both.
-func (t *Topic) Ack(id, token uint64) AckResult {
-	res := t.ack(id, token)
-	switch res {
-	case AckOK:
-		t.acked.Add(1)
-	case AckConflict:
-		t.conflicts.Add(1)
-	}
-	return res
-}
-
-// AckBatch resolves each (id, token) pair exactly as Ack would — the
-// same single-CAS-decides race with the sweeper, per delivery — with
-// the counters updated once per batch. Results are appended to results
-// in entry order.
+// AckBatch confirms each delivery (id, token), with the counters updated
+// once per batch. Results are appended to results in entry order. An
+// ack succeeds only while the exact lease named by token is still open:
+// one CAS from leased|token to acked|token. A late ack — the lease
+// expired and the sweeper reclaimed the message — finds the word moved
+// on (reclaiming, pending with the same seq, or a later lease) and is
+// refused, which is what makes redelivery exactly-once: either the
+// consumer's ack or the sweeper's claim wins the word, never both.
 func (t *Topic) AckBatch(entries []AckEntry, results []AckResult) []AckResult {
 	var acked, conflicts int64
 	for _, e := range entries {
@@ -520,7 +489,7 @@ func (t *Topic) ack(id, token uint64) AckResult {
 	return AckOK
 }
 
-// AckResult classifies an Ack attempt.
+// AckResult classifies one ack.
 type AckResult int
 
 const (
@@ -536,14 +505,14 @@ const (
 
 // sweep redelivers every message whose lease expired before now. The
 // sweeper first CASes leased→reclaiming (losing the race to a concurrent
-// Ack is fine — the ack won the message), republishes the record as
+// ack is fine — the ack won the message), republishes the record as
 // pending with the *claimed* seq, and only then re-enqueues the id.
 // Publication order matters: the id must not be dequeuable while the
 // word still reads reclaiming, or a consumer would skip it. A won claim
 // also pins the slab (the record is not acked), so the generation read
 // for the id is the one the message was produced under. A closing topic
 // stops the sweep before any claim: expired leases stay leased for Drain
-// to report as unacked, and a last-instant Ack lands cleanly instead of
+// to report as unacked, and a last-instant ack lands cleanly instead of
 // bouncing off a claim that would only be put back (a spurious 409 at
 // shutdown).
 func (t *Topic) sweep(now time.Time) (redelivered int) {
@@ -566,7 +535,7 @@ scan:
 				}
 				tok := seqOf(w)
 				if !rec.word.CompareAndSwap(w, pack(stateReclaiming, tok)) {
-					continue // lost to a last-instant Ack: the consumer keeps it
+					continue // lost to a last-instant ack: the consumer keeps it
 				}
 				rec.word.Store(pack(statePending, tok))
 				t.q.Enqueue(sl.id(sl.gen.Load(), off))

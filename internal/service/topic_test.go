@@ -20,6 +20,24 @@ func consumeAll(topic *Topic, now time.Time, max int) []Delivery {
 	return ds
 }
 
+// produceOne, consumeOne and ackOne drive the topic's batch methods at
+// k=1 — the calls the single-op endpoints make.
+func produceOne(topic *Topic, payload []byte) uint64 {
+	return topic.ProduceBatch("a", [][]byte{payload}, nil)[0]
+}
+
+func consumeOne(topic *Topic, now time.Time) (Delivery, bool) {
+	ds := consumeAll(topic, now, 1)
+	if len(ds) == 0 {
+		return Delivery{}, false
+	}
+	return ds[0], true
+}
+
+func ackOne(topic *Topic, id, token uint64) AckResult {
+	return topic.AckBatch([]AckEntry{{ID: id, Token: token}}, nil)[0]
+}
+
 // recordNumber is an id's generation-free part: which record it names.
 func recordNumber(id uint64) uint32 { return uint32(id) }
 
@@ -31,33 +49,33 @@ func TestRecycledSlabStaleIDUnknown(t *testing.T) {
 	topic := s.Topic("t")
 	now := time.Unix(2000, 0)
 
-	old := topic.Produce("a", []byte("first"))
-	d, ok, err := topic.ConsumeOne(now)
-	if !ok || err != nil || d.ID != old {
-		t.Fatalf("consume: %+v ok=%v err=%v", d, ok, err)
+	old := produceOne(topic, []byte("first"))
+	d, ok := consumeOne(topic, now)
+	if !ok || d.ID != old {
+		t.Fatalf("consume: %+v ok=%v", d, ok)
 	}
-	if res := topic.Ack(d.ID, d.Token); res != AckOK {
+	if res := ackOne(topic, d.ID, d.Token); res != AckOK {
 		t.Fatalf("ack = %v", res)
 	}
 
-	fresh := topic.Produce("a", []byte("second"))
+	fresh := produceOne(topic, []byte("second"))
 	if recordNumber(fresh) != recordNumber(old) {
 		t.Fatalf("fresh id %#x does not reuse the slot of %#x", fresh, old)
 	}
 	if fresh == old {
 		t.Fatalf("recycled slab reissued id %#x", old)
 	}
-	if res := topic.Ack(old, d.Token); res != AckUnknown {
+	if res := ackOne(topic, old, d.Token); res != AckUnknown {
 		t.Fatalf("stale id after recycle: ack = %v, want AckUnknown", res)
 	}
-	d2, ok, _ := topic.ConsumeOne(now)
+	d2, ok := consumeOne(topic, now)
 	if !ok || d2.ID != fresh || string(d2.Payload) != "second" {
 		t.Fatalf("consume after recycle: %+v ok=%v", d2, ok)
 	}
-	if res := topic.Ack(old, d2.Token); res != AckUnknown {
+	if res := ackOne(topic, old, d2.Token); res != AckUnknown {
 		t.Fatalf("stale id with a live token: ack = %v, want AckUnknown", res)
 	}
-	if res := topic.Ack(fresh, d2.Token); res != AckOK {
+	if res := ackOne(topic, fresh, d2.Token); res != AckOK {
 		t.Fatalf("fresh ack = %v, want AckOK", res)
 	}
 	if st := topic.Stats(); st.Conflicts != 0 || st.Outstanding != 0 {
@@ -87,7 +105,7 @@ func TestRecycledSlabDropsLargeBuffer(t *testing.T) {
 			t.Fatalf("consumed %d, want 2", len(ds))
 		}
 		for _, d := range ds {
-			if res := topic.Ack(d.ID, d.Token); res != AckOK {
+			if res := ackOne(topic, d.ID, d.Token); res != AckOK {
 				t.Fatalf("ack = %v", res)
 			}
 		}
@@ -123,17 +141,17 @@ func TestDoubleAckUnknown(t *testing.T) {
 	if len(ds) != 2 {
 		t.Fatalf("consumed %d, want 2", len(ds))
 	}
-	if res := topic.Ack(ds[0].ID, ds[0].Token); res != AckOK {
+	if res := ackOne(topic, ds[0].ID, ds[0].Token); res != AckOK {
 		t.Fatalf("first ack = %v", res)
 	}
-	if res := topic.Ack(ds[0].ID, ds[0].Token); res != AckUnknown {
+	if res := ackOne(topic, ds[0].ID, ds[0].Token); res != AckUnknown {
 		t.Fatalf("double ack, slab live: %v, want AckUnknown", res)
 	}
-	if res := topic.Ack(ds[1].ID, ds[1].Token); res != AckOK {
+	if res := ackOne(topic, ds[1].ID, ds[1].Token); res != AckOK {
 		t.Fatalf("last ack = %v", res)
 	}
 	for i, d := range ds {
-		if res := topic.Ack(d.ID, d.Token); res != AckUnknown {
+		if res := ackOne(topic, d.ID, d.Token); res != AckUnknown {
 			t.Fatalf("double ack %d, slab recycled: %v, want AckUnknown", i, res)
 		}
 	}
@@ -184,21 +202,21 @@ func TestPartialSlabCounts(t *testing.T) {
 func TestConsumeEmitsBeforeLease(t *testing.T) {
 	s := newTestService(t, Config{})
 	topic := s.Topic("t")
-	topic.Produce("a", []byte("original"))
+	produceOne(topic, []byte("original"))
 	var got []byte
 	var id, token uint64
 	n := topic.ConsumeBatch(time.Unix(2000, 0), make([]uint64, 1), 0, func(i, tok uint64, p []byte) {
 		id, token = i, tok
-		if res := topic.Ack(i, tok); res == AckOK {
+		if res := ackOne(topic, i, tok); res == AckOK {
 			t.Error("ack landed during emit: the lease was published before the payload was copied")
 		}
-		topic.Produce("a", []byte("OVERWRIT"))
+		produceOne(topic, []byte("OVERWRIT"))
 		got = append(got, p...)
 	})
 	if n != 1 || string(got) != "original" {
 		t.Fatalf("granted %d, payload %q, want 1 and \"original\"", n, got)
 	}
-	if res := topic.Ack(id, token); res != AckOK {
+	if res := ackOne(topic, id, token); res != AckOK {
 		t.Fatalf("ack after ConsumeBatch = %v, want AckOK", res)
 	}
 }
@@ -211,12 +229,12 @@ func TestIDsNonzeroUniqueAcrossRecycles(t *testing.T) {
 	topic := s.Topic("t")
 	now := time.Unix(2000, 0)
 	cycle := func() uint64 {
-		id := topic.Produce("a", []byte("p"))
-		d, ok, _ := topic.ConsumeOne(now)
+		id := produceOne(topic, []byte("p"))
+		d, ok := consumeOne(topic, now)
 		if !ok || d.ID != id {
 			t.Fatalf("consume: got %#x ok=%v, want %#x", d.ID, ok, id)
 		}
-		if res := topic.Ack(d.ID, d.Token); res != AckOK {
+		if res := ackOne(topic, d.ID, d.Token); res != AckOK {
 			t.Fatalf("ack %#x = %v", id, res)
 		}
 		return id
@@ -237,9 +255,9 @@ func TestIDsNonzeroUniqueAcrossRecycles(t *testing.T) {
 	}
 	// Force the free slab to the last generation: the next id carries
 	// it, and the ack after that wraps the generation past zero to 1.
-	sl, _ := topic.lookup(topic.Produce("a", []byte("p")))
-	d, _, _ := topic.ConsumeOne(now)
-	if res := topic.Ack(d.ID, d.Token); res != AckOK {
+	sl, _ := topic.lookup(produceOne(topic, []byte("p")))
+	d, _ := consumeOne(topic, now)
+	if res := ackOne(topic, d.ID, d.Token); res != AckOK {
 		t.Fatalf("ack = %v", res)
 	}
 	sl.gen.Store(math.MaxUint32)
@@ -345,7 +363,7 @@ func TestRegistryChurnExactlyOnce(t *testing.T) {
 				// Last round's held-back acks go singly, after a sleep long
 				// enough for the sweeper to have claimed some of them.
 				for i, e := range late {
-					settle(lateKeys[i], topic.Ack(e.ID, e.Token))
+					settle(lateKeys[i], ackOne(topic, e.ID, e.Token))
 				}
 				late, lateKeys = late[:0], lateKeys[:0]
 				n := 0

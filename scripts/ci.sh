@@ -1,5 +1,5 @@
 #!/bin/sh
-# The full correctness gate, exactly as CI runs it. Eleven passes:
+# The full correctness gate, exactly as CI runs it. Thirteen passes:
 #
 #   1. build + vet of every package,
 #   2. the full test suite in the release build (no handle validation
@@ -57,16 +57,22 @@
 #      frames) — frame codec round trips and truncation rejection,
 #      AdmitN partial-admission 429s, stale-token ack-batch partial
 #      results, slab recycling exactness, long-poll wake and
-#      drain-interaction, and the SvcBatchLease chaos scenario (a
+#      drain-interaction, the SvcBatchLease chaos scenario (a
 #      consumer parked with a whole batch of committed leases; every
-#      lease redelivered exactly once, every stale ack refused) under
-#      -race with both the faultpoints and debughandles tags,
+#      lease redelivered exactly once, every stale ack refused) and a
+#      consume-batch crashed before its first lease (500, slots
+#      refunded, every dequeued id delivered once later) under -race
+#      with both the faultpoints and debughandles tags,
 #  12. the multi-CPU pass: TurnPlus, the sharded front, the service,
 #      Kogan-Petrank, turnalt and the root package under -race at
 #      GOMAXPROCS 1, 2 and 4 (-cpu 1,2,4), so a 1-CPU run
-#      is never the only evidence for the code that runs in production.
+#      is never the only evidence for the code that runs in production,
+#  13. the fuzz gate: each batch frame codec's native fuzz target
+#      (internal/service/frame_fuzz_test.go — no panic on any frame,
+#      append→parse identity) run for a fixed 10s of fresh inputs; the
+#      seed corpus already runs in every plain go test pass above.
 #
-# A change is green only if all twelve pass.
+# A change is green only if all thirteen pass.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -130,7 +136,7 @@ go test -race -tags "faultpoints debughandles" -timeout 240s \
 
 echo "==> batched-service gate (batch wire path + SvcBatchLease chaos under -race)"
 go test -race -tags "faultpoints debughandles" -timeout 240s \
-	-run 'TestFrameRoundTrips|TestFrameHostilePayloadLength|TestBatch|TestAckBatchStaleTokens|TestQuotaAdmitN|TestQuotaRefundN|TestServiceChaosBatchLeaseRedelivery|TestLeaseTokensGloballyUnique|TestConsumeBatch|TestClientChunksOversizeBatches' \
+	-run 'TestFrameRoundTrips|TestFrameHostilePayloadLength|TestBatch|TestAckBatchStaleTokens|TestQuotaAdmitN|TestQuotaRefundN|TestServiceChaosBatchLeaseRedelivery|TestServiceChaosCrashedBatchConsumer|TestLeaseTokensGloballyUnique|TestConsumeBatch|TestClientChunksOversizeBatches' \
 	./internal/service ./internal/account
 
 echo "==> multi-CPU pass (-race at GOMAXPROCS 1, 2, 4)"
@@ -141,5 +147,10 @@ go test -race -cpu 1,2,4 -tags "faultpoints debughandles" -timeout 400s \
 	./internal/turnplus ./internal/sharded ./internal/service \
 	./internal/kpq ./internal/turnalt ./internal/consensus \
 	. ./internal/bench
+
+echo "==> fuzz gate (frame codecs, 10s per target)"
+for target in FuzzParseProduceBatch FuzzParseIDs FuzzParseDeliveries FuzzParseAckBatch FuzzParseAckResults; do
+	go test -run '^$' -fuzz "^${target}\$" -fuzztime=10s ./internal/service
+done
 
 echo "==> ci green"
