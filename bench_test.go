@@ -28,7 +28,6 @@ import (
 	"turnqueue/internal/qsbr"
 	"turnqueue/internal/quantile"
 	"turnqueue/internal/reclaim"
-	"turnqueue/internal/turnalt"
 )
 
 // benchThreads is the worker count used by the fixed-thread benchmarks;
@@ -204,23 +203,6 @@ func BenchmarkAblationReclaimMode(b *testing.B) {
 					b.Fatal("dequeue empty")
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAblationAltDequeue is experiment X5: the paper's two-array
-// dequeue design versus the §2.3 single-array alternative it rejects
-// (which pays one hazard-pointer publish per consensus-scan entry).
-func BenchmarkAblationAltDequeue(b *testing.B) {
-	variants := []bench.Factory{
-		{Name: "two-array", New: func(n int) bench.Queue { return core.New[uint64](core.WithMaxThreads(n)) }},
-		{Name: "single-array", New: func(n int) bench.Queue { return turnalt.New[uint64](n) }},
-	}
-	for _, f := range variants {
-		f := f
-		b.Run(f.Name, func(b *testing.B) {
-			res := bench.MeasurePairs(f, bench.PairsConfig{Threads: benchThreads, TotalPairs: maxPairs(b.N), Runs: 1})
-			b.ReportMetric(res.Median(), "ops/s")
 		})
 	}
 }

@@ -70,6 +70,10 @@ func NewQuota(rate float64, burst int, maxInFlight int) *Quota {
 // Admit consumes one token if available. On refusal it reports how long
 // the caller should wait before retrying (the Retry-After seam). now is
 // explicit so tests can drive the clock.
+//
+// The service charges every request through AdmitN; Admit is the
+// one-token GCRA step kept as the reference that
+// TestQuotaAdmitNMatchesSequential checks AdmitN against.
 func (q *Quota) Admit(now time.Time) (ok bool, retryAfter time.Duration) {
 	t := now.UnixNano()
 	tolerance := q.burstNS - q.interval

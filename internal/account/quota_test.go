@@ -85,29 +85,60 @@ func TestQuotaInFlightCap(t *testing.T) {
 }
 
 func TestQuotaConcurrentAdmitNeverOversells(t *testing.T) {
-	const burst = 64
-	q := NewQuota(1, burst, 0) // 1 req/s: within one instant only the burst admits
-	now := time.Unix(1000, 0)
-	var wg sync.WaitGroup
-	counts := make([]int, 16)
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				if ok, _ := q.Admit(now); ok {
-					counts[g]++
-				}
+	// Each charge asks for n tokens per call and reports how many it got.
+	// Admit is the reference; every service request pays through AdmitN,
+	// once per message batch (n=1 on the single-op endpoints).
+	admit := func(q *Quota, now time.Time, _ int) int {
+		if ok, _ := q.Admit(now); ok {
+			return 1
+		}
+		return 0
+	}
+	admitN := func(q *Quota, now time.Time, n int) int {
+		m, _ := q.AdmitN(now, n)
+		return m
+	}
+	charges := []struct {
+		name   string
+		n      int
+		charge func(q *Quota, now time.Time, n int) int
+	}{
+		{"Admit", 1, admit},
+		{"AdmitN1", 1, admitN},
+		{"AdmitN3", 3, admitN},
+	}
+	for _, c := range charges {
+		t.Run(c.name, func(t *testing.T) {
+			const burst, goroutines, calls = 64, 16, 100
+			q := NewQuota(1, burst, 0) // 1 req/s: within one instant only the burst admits
+			now := time.Unix(1000, 0)
+			var wg sync.WaitGroup
+			counts := make([]int, goroutines)
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < calls; i++ {
+						counts[g] += c.charge(q, now, c.n)
+					}
+				}(g)
 			}
-		}(g)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != burst {
-		t.Fatalf("concurrent admits = %d, want exactly burst=%d", total, burst)
+			wg.Wait()
+			total := 0
+			for _, n := range counts {
+				total += n
+			}
+			if total != burst {
+				t.Fatalf("concurrent admits = %d, want exactly burst=%d", total, burst)
+			}
+			if got := q.Admitted.Load(); got != burst {
+				t.Fatalf("Admitted counter = %d, want %d", got, burst)
+			}
+			requested := int64(goroutines * calls * c.n)
+			if got := q.Admitted.Load() + q.Shed.Load(); got != requested {
+				t.Fatalf("Admitted+Shed = %d, want the %d tokens requested", got, requested)
+			}
+		})
 	}
 }
 

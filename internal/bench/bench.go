@@ -18,7 +18,6 @@ import (
 	"turnqueue/internal/reclaim"
 	"turnqueue/internal/sharded"
 	"turnqueue/internal/simq"
-	"turnqueue/internal/turnalt"
 	"turnqueue/internal/turnplus"
 )
 
@@ -154,11 +153,6 @@ func TurnVariantFactories() []Factory {
 		}},
 		{Name: "Turn(noreclaim)", New: func(n int) Queue {
 			return core.New[uint64](core.WithMaxThreads(n), core.WithReclaim(core.ReclaimNone))
-		}},
-		{Name: "Turn(alt-deq)", New: func(n int) Queue {
-			// §2.3's rejected single-array dequeue design (ablation X5):
-			// one extra hazard-pointer publish per consensus-scan entry.
-			return turnalt.New[uint64](n)
 		}},
 	}
 }

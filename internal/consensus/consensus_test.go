@@ -14,15 +14,14 @@ import (
 )
 
 // synthetic is the minimal op type: an Enq engine, optionally paired
-// with one of the two dequeue engines, over one hazard domain and plain
-// heap nodes. It is what every Turn-family queue reduces to once
-// allocation and reclamation policy are stripped away.
+// with the Deq engine, over one hazard domain and plain heap nodes. It
+// is what every Turn-family queue reduces to once allocation and
+// reclamation policy are stripped away.
 type synthetic struct {
 	rt  *qrt.Runtime
 	hp  *hazard.Domain[consensus.Node[int]]
 	enq consensus.Enq[int]
 	deq consensus.Deq[int]
-	alt consensus.AltDeq[int]
 }
 
 func newSynthetic(maxThreads, numHPs int) *synthetic {
@@ -154,40 +153,6 @@ func TestDequeueLinearizes(t *testing.T) {
 	if deletes > retires {
 		t.Fatalf("hazard deletes %d exceed retires %d", deletes, retires)
 	}
-}
-
-// TestAltDequeueLinearizes is TestDequeueLinearizes for the single-array
-// §2.3 variant, including the IdxOpen request encoding.
-func TestAltDequeueLinearizes(t *testing.T) {
-	const threads, ops = 3, 30
-	s := newSynthetic(threads, 4)
-	sentinel := consensus.NewSentinel[int]()
-	s.enq.Init(s.rt, s.hp, 0, sentinel)
-	s.alt.Init(s.rt, s.hp, 0, 1, 2, 3, s.enq.TailPtr(), sentinel)
-
-	if _, ok, _ := s.alt.DequeueOne(0); ok {
-		t.Fatal("fresh queue not empty")
-	}
-	s.hp.Clear(0)
-	for i := 0; i < ops; i++ {
-		s.announce(i%threads, i)
-	}
-	for i := 0; i < ops; i++ {
-		tid := i % threads
-		item, ok, prReq := s.alt.DequeueOne(tid)
-		s.hp.Clear(tid)
-		if !ok {
-			t.Fatalf("dequeue %d: unexpectedly empty", i)
-		}
-		if item != i {
-			t.Fatalf("dequeue %d returned %d; FIFO violated", i, item)
-		}
-		s.hp.Retire(tid, prReq)
-	}
-	if _, ok, _ := s.alt.DequeueOne(0); ok {
-		t.Fatal("drained queue not empty")
-	}
-	s.hp.Clear(0)
 }
 
 // TestConcurrentHelping hammers the bare engines from all slots at once:

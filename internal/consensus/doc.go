@@ -2,8 +2,8 @@
 // every Turn-family queue in this repository: the request arrays,
 // phase/turn ordering, active-slot helping loops, chain-aware batch
 // install, and overrun accounting that internal/core, internal/turnmpsc,
-// internal/turnspmc, internal/turnalt, and internal/turnplus previously
-// each carried a copy of (or now build on).
+// internal/turnspmc and internal/turnplus previously each carried a copy
+// of (or now build on).
 //
 // The API is announce → help-until-done → linearize:
 //
@@ -17,9 +17,6 @@
 //     finishes the head advance. The operation linearizes at the deqTid
 //     claim CAS on the assigned node (or, for the empty return, at the
 //     head==tail observation validated by the giveUp rollback).
-//   - AltDeq is the §2.3 single-array ablation of Deq, kept as a
-//     separate engine because its per-entry dereference+hazard-publish
-//     scan cost is the point being measured.
 //
 // Queues compose the engines with their own allocation, reclamation, and
 // batching policy: the full MPMC queue pairs Enq with Deq; the MPSC

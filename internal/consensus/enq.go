@@ -21,8 +21,8 @@ const hardIterCap = 1 << 22
 // pointer and the per-thread announce array (the paper's enqueuers[]),
 // and runs Algorithm 2's publish → help-until-done loop. Every
 // Turn-family queue embeds one Enq by value — the full MPMC queue, the
-// MPSC composition, the §2.3 single-array ablation, and the TurnPlus
-// slow path — so the helping loop exists exactly once.
+// MPSC composition and the TurnPlus slow path — so the helping loop
+// exists exactly once.
 //
 // The engine does not allocate: callers draw nodes from their own pools
 // and hand the prepared request to Announce. The reclamation backend

@@ -10,15 +10,6 @@ import (
 // assigned to any dequeue request.
 const IdxNone int32 = -1
 
-// IdxOpen encodes an open request in the single-array dequeue variant
-// (AltDeq): the node parked in a thread's dequeuers entry carries
-// IdxOpen in deqTid while the request is open. It replaces the separate
-// isRequest flag of the paper's §2.3 sketch with a sentinel in the field
-// the node already has, so the same Node type serves both dequeue
-// designs. Queue nodes themselves only ever hold IdxNone or a claimed
-// thread index, so the sentinel is unambiguous.
-const IdxOpen int32 = -2
-
 // Node is the paper's Algorithm 1, shared by every Turn-family queue in
 // this repository. It is the only object those queues allocate: one per
 // enqueued item, carrying the item itself, the link to the next node,
@@ -30,9 +21,7 @@ const IdxOpen int32 = -2
 //	         publication of the node pointer orders it).
 //	deqTid — index of the thread whose dequeue request this node satisfies;
 //	         claimed by CAS from IdxNone, after which it never changes for
-//	         the node's lifetime (paper Invariant 9). In the AltDeq
-//	         variant a *parked* node additionally uses IdxOpen to mark an
-//	         open request.
+//	         the node's lifetime (paper Invariant 9).
 //	blink  — batch-link, the chain extension beyond the paper: nil on a
 //	         single-item request and on chain interiors. A batch enqueue
 //	         publishes its pre-linked chain's LAST node as the request;
@@ -102,11 +91,6 @@ func (n *Node[T]) EnqTid() int32 { return n.enqTid }
 
 // DeqTid returns the current dequeue assignment (diagnostics/tests).
 func (n *Node[T]) DeqTid() int32 { return n.deqTid.Load() }
-
-// SetDeqTid stores a dequeue assignment directly, for request-state
-// transitions on nodes the caller owns (AltDeq open/rollback, sentinel
-// setup). Queue-node claiming must go through CasDeqTid.
-func (n *Node[T]) SetDeqTid(v int32) { n.deqTid.Store(v) }
 
 // Next returns the successor node.
 func (n *Node[T]) Next() *Node[T] { return n.next.Load() }

@@ -1,5 +1,5 @@
 // The before/after accounting regression for the consensus extraction:
-// each sibling queue (turnmpsc, turnspmc, turnalt) runs a fixed
+// each sibling queue (turnmpsc, turnspmc) runs a fixed
 // deterministic sequential workload and must produce byte-identical
 // overrun and hazard-backlog accounting to the goldens recorded against
 // the pre-refactor per-package helping loops. A refactor that changes
@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"turnqueue/internal/account"
-	"turnqueue/internal/turnalt"
 	"turnqueue/internal/turnmpsc"
 	"turnqueue/internal/turnspmc"
 )
@@ -40,7 +39,6 @@ const regressionThreads = 4
 var accountingGoldens = map[string]string{
 	"turnmpsc": "overruns=0/0 hp[nodes]{hps=1 r=0 ret=170 del=170 max=0 backlog=0 bound=8}",
 	"turnspmc": "overruns=0/0 hp[nodes]{hps=3 r=0 ret=170 del=170 max=0 backlog=0 bound=16}",
-	"turnalt":  "overruns=0/0 hp[nodes]{hps=4 r=0 ret=100 del=100 max=0 backlog=0 bound=20}",
 }
 
 func checkGolden(t *testing.T, name string, s account.Snapshot) {
@@ -127,30 +125,4 @@ func TestAccountingRegressionTurnSPMC(t *testing.T) {
 		}
 	}
 	checkGolden(t, "turnspmc", account.Capture("TurnSPMC", q.Runtime(), q))
-}
-
-// TestAccountingRegressionTurnAlt drives the §2.3 single-array variant:
-// 100 single enqueues round-robin over four slots, drained round-robin,
-// each slot probing empty once.
-func TestAccountingRegressionTurnAlt(t *testing.T) {
-	q := turnalt.New[int](regressionThreads)
-	for i := 0; i < 100; i++ {
-		q.Enqueue(i%regressionThreads, i)
-	}
-	got := 0
-	for {
-		if _, ok := q.Dequeue(got % regressionThreads); !ok {
-			break
-		}
-		got++
-	}
-	if got != 100 {
-		t.Fatalf("drained %d items, want 100", got)
-	}
-	for tid := 0; tid < regressionThreads; tid++ {
-		if _, ok := q.Dequeue(tid); ok {
-			t.Fatal("queue should be empty")
-		}
-	}
-	checkGolden(t, "turnalt", account.Capture("TurnAlt", q.Runtime(), q))
 }

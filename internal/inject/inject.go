@@ -131,11 +131,12 @@ const (
 	// chaos suite's zero-lost/zero-duplicated assertion lives on this
 	// point.
 	SvcConsumerCrash
-	// SvcSlowReader: internal/service, a consume stream whose client reads
-	// slowly — fired per chunk written. A reader parked here holds its
-	// delivery lease past the deadline; the message must be redelivered to
-	// a healthy consumer while backend reclaim backlog stays within
-	// Bound().
+	// SvcSlowReader: internal/service, a single-op consume whose response
+	// is slow to go out — fired once per /consume, after the lease is
+	// committed and before the one JSON write. A reader parked here holds
+	// its delivery lease past the deadline; the message must be
+	// redelivered to a healthy consumer while backend reclaim backlog
+	// stays within Bound().
 	SvcSlowReader
 	// SvcBatchLease: internal/service, a consume-batch handler whose
 	// whole batch of leases is committed but whose response is unwritten.

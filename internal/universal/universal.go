@@ -5,8 +5,7 @@
 // wait-free queue of announced mutations; Herlihy's methodology (§5,
 // citation [11]) is the general blueprint. This package provides the
 // construct so the repository can demonstrate §5's claim that the queue
-// machinery generalizes: internal/wfstack derives a wait-free stack from
-// it, and examples/universal builds a wait-free ledger.
+// machinery generalizes: examples/ledger builds a wait-free ledger on it.
 //
 // Protocol (the same announce-combine-install scheme as internal/simq,
 // generalized from "FIFO dequeue" to any sequential object):

@@ -1,7 +1,11 @@
 #!/bin/sh
 # The full correctness gate, exactly as CI runs it. Thirteen passes:
 #
-#   1. build + vet of every package,
+#   1. build + vet of every package, and the importer check: every
+#      ./internal/... package must be imported by some other non-test
+#      package of the module (test support — a package that itself
+#      imports "testing", such as internal/qtest — is exempt), so a
+#      package nothing uses fails CI by name instead of lingering,
 #   2. the full test suite in the release build (no handle validation
 #      on the hot path),
 #   3. the same suite under -tags debughandles, which compiles the
@@ -64,8 +68,8 @@
 #      refunded, every dequeued id delivered once later) under -race
 #      with both the faultpoints and debughandles tags,
 #  12. the multi-CPU pass: TurnPlus, the sharded front, the service,
-#      Kogan-Petrank, turnalt and the root package under -race at
-#      GOMAXPROCS 1, 2 and 4 (-cpu 1,2,4), so a 1-CPU run
+#      Kogan-Petrank, the consensus engines and the root package under
+#      -race at GOMAXPROCS 1, 2 and 4 (-cpu 1,2,4), so a 1-CPU run
 #      is never the only evidence for the code that runs in production,
 #  13. the fuzz gate: each batch frame codec's native fuzz target
 #      (internal/service/frame_fuzz_test.go — no panic on any frame,
@@ -76,9 +80,31 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "==> build + vet"
+echo "==> build + vet + importer check"
 go build ./...
 go vet ./...
+# Each line of the listing is "package import import ..." (non-test
+# files only), so an import seen here is an import from production code.
+imports="$(go list -f '{{.ImportPath}}{{range .Imports}} {{.}}{{end}}' ./...)"
+printf '%s\n' "$imports" | awk -v internal="$(go list -m)/internal/" '
+{
+	pkgs[$1] = 1
+	for (i = 2; i <= NF; i++) {
+		if ($i == "testing")
+			support[$1] = 1
+		else
+			imported[$i] = 1
+	}
+}
+END {
+	bad = 0
+	for (p in pkgs)
+		if (index(p, internal) == 1 && !(p in support) && !(p in imported)) {
+			print "importer check: no non-test package imports " p
+			bad = 1
+		}
+	exit bad
+}'
 
 echo "==> test (release: no handle validation)"
 go test ./...
@@ -140,12 +166,12 @@ go test -race -tags "faultpoints debughandles" -timeout 240s \
 	./internal/service ./internal/account
 
 echo "==> multi-CPU pass (-race at GOMAXPROCS 1, 2, 4)"
-# Kogan-Petrank, turnalt and the packages that drive them (the root
-# package, internal/bench) joined once their double-consume bugs were
-# fixed; both failed at every run with more than one CPU before.
+# Kogan-Petrank and the packages that drive it (the root package,
+# internal/bench) joined once its double-consume bug was fixed; it
+# failed at every run with more than one CPU before.
 go test -race -cpu 1,2,4 -tags "faultpoints debughandles" -timeout 400s \
 	./internal/turnplus ./internal/sharded ./internal/service \
-	./internal/kpq ./internal/turnalt ./internal/consensus \
+	./internal/kpq ./internal/consensus \
 	. ./internal/bench
 
 echo "==> fuzz gate (frame codecs, 10s per target)"
